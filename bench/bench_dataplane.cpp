@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
   // -------------------------- scheduler scan index vs linear deep backlog
   // A file-mode relay chain keeps every receiver's backlog window full
   // (scan_limit deep), the worst case for the linear rarest-first scan.
-  // The per-rarity bucket index must pick identical chunks (differentially
+  // The word-parallel pick must choose identical chunks (differentially
   // asserted in tests) and must never be slower — the no-regression bar.
   const int backlog_chunks = quick ? 6000 : 30000;
   const auto scan_case = [&](bool use_index) {
@@ -272,7 +272,7 @@ int main(int argc, char** argv) {
   const double indexed_s = scan_case(true);
   const double scan_speedup = linear_s / indexed_s;
   std::cout << "\ndeep-backlog scheduler: linear scan " << linear_s
-            << "s, rarity-bucket index " << indexed_s << "s (" << scan_speedup
+            << "s, word-parallel pick " << indexed_s << "s (" << scan_speedup
             << "x)\n";
   ok = ok && indexed_s <= linear_s * 1.05;
   std::cout << (indexed_s <= linear_s * 1.05 ? "[OK] " : "[WARN] ")

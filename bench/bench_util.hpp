@@ -1,6 +1,7 @@
 // Shared helpers for the experiment binaries.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -161,16 +162,6 @@ inline std::string arg_value(int argc, char** argv, const char* flag) {
   return {};
 }
 
-/// Parses `--json <path>` from argv; empty string when absent.
-inline std::string json_path_arg(int argc, char** argv) {
-  return arg_value(argc, argv, "--json");
-}
-
-/// Parses `--trace <path>` from argv; empty string when absent.
-inline std::string trace_path_arg(int argc, char** argv) {
-  return arg_value(argc, argv, "--trace");
-}
-
 /// True when `flag` (e.g. "--quick") appears in argv.
 inline bool has_flag(int argc, char** argv, const char* flag) {
   for (int i = 1; i < argc; ++i) {
@@ -195,6 +186,12 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
 ///                      --profile artifacts stay byte-identical per build)
 /// Binaries parse once up front and thread `cli.profiler()` into their
 /// configs; a null return keeps every hook on its disabled branch.
+///
+/// Parsing is strict: an unknown `--` flag, or a valued flag missing its
+/// value, prints a usage line and exits 2 — a typo such as `--jsn` must not
+/// run the bench and silently write nothing. Positional arguments pass
+/// through. Binaries with flags of their own declare them: `switches` take
+/// no value, `options` take one (the binary still reads them itself).
 struct CommonCli {
   bool quick = false;
   std::string json;
@@ -205,14 +202,52 @@ struct CommonCli {
   obs::Profiler prof;
 
   // The profiler member makes this non-copyable; parse in place.
-  CommonCli(int argc, char** argv)
-      : quick(has_flag(argc, argv, "--quick")),
-        json(arg_value(argc, argv, "--json")),
-        trace(arg_value(argc, argv, "--trace")),
-        profile(arg_value(argc, argv, "--profile")),
-        metrics(arg_value(argc, argv, "--metrics")),
-        lineage(arg_value(argc, argv, "--lineage")),
-        prof(obs::ProfilerConfig{has_flag(argc, argv, "--profile-wall")}) {}
+  CommonCli(int argc, char** argv, const std::vector<std::string>& switches = {},
+            const std::vector<std::string>& options = {})
+      : prof(obs::ProfilerConfig{has_flag(argc, argv, "--profile-wall")}) {
+    const std::pair<const char*, std::string*> valued[] = {
+        {"--json", &json},       {"--trace", &trace},
+        {"--profile", &profile}, {"--metrics", &metrics},
+        {"--lineage", &lineage}};
+    const auto declared = [](const std::vector<std::string>& names,
+                             const std::string& arg) {
+      return std::find(names.begin(), names.end(), arg) != names.end();
+    };
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--", 0) != 0) continue;  // positional
+      if (arg == "--quick") {
+        quick = true;
+        continue;
+      }
+      if (arg == "--profile-wall" || declared(switches, arg)) continue;
+      std::string* field = nullptr;
+      for (const auto& [name, target] : valued) {
+        if (arg == name) field = target;
+      }
+      if (field == nullptr && !declared(options, arg)) {
+        usage_exit(argv[0], "unknown flag " + arg, switches, options);
+      }
+      if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+        usage_exit(argv[0], arg + " needs a value", switches, options);
+      }
+      ++i;
+      if (field != nullptr) *field = argv[i];
+    }
+  }
+
+  [[noreturn]] static void usage_exit(const char* program,
+                                      const std::string& error,
+                                      const std::vector<std::string>& switches,
+                                      const std::vector<std::string>& options) {
+    std::cerr << program << ": " << error << "\nusage: " << program
+              << " [--quick] [--json P] [--trace P] [--profile P]"
+                 " [--profile-wall] [--metrics P] [--lineage P]";
+    for (const std::string& name : switches) std::cerr << " [" << name << "]";
+    for (const std::string& name : options) std::cerr << " [" << name << " V]";
+    std::cerr << "\n";
+    std::exit(2);
+  }
 
   /// The profiler to thread into configs; null when --profile is absent so
   /// disabled runs pay nothing but the null checks.

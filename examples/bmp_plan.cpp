@@ -100,7 +100,8 @@ int run(const bmp::net::PlatformFile& platform, bool cyclic, double rate,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bmp::benchutil::CommonCli cli(argc, argv);
+  bmp::benchutil::CommonCli cli(
+      argc, argv, {"--cyclic", "--dot", "--edges", "--help"}, {"--rate"});
   bool cyclic = false;
   bool dot = false;
   bool edges = false;
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--quick" || arg == "--profile-wall") {
       // observability flags, already consumed by CommonCli
     } else if (arg == "--json" || arg == "--trace" || arg == "--profile" ||
-               arg == "--metrics") {
+               arg == "--metrics" || arg == "--lineage") {
       ++a;  // flag + value pair, consumed by CommonCli
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: bmp_plan <platform-file> [--cyclic] [--rate R] "

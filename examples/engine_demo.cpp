@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[a];
     if (arg == "--quick" || arg == "--profile-wall") continue;
     if (arg == "--json" || arg == "--trace" || arg == "--profile" ||
-        arg == "--metrics") {
+        arg == "--metrics" || arg == "--lineage") {
       ++a;  // flag + value pair, consumed by CommonCli
       continue;
     }

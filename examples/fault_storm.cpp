@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
   // --metrics as everywhere else (--metrics includes the slo.* series and
   // per-channel slo.state gauge), plus --dump <path> to write the flight
   // recorder's post-storm state (CI archives the artifacts).
-  bmp::benchutil::CommonCli cli(argc, argv);
+  bmp::benchutil::CommonCli cli(argc, argv, {}, {"--dump"});
   const std::string dump_path = bmp::benchutil::arg_value(argc, argv, "--dump");
 
   const bmp::runtime::ScenarioScript script = build_storm();

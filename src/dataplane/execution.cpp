@@ -27,10 +27,11 @@ constexpr double kMinRate = 1e-12;
 /// main artery could stay "busy" for minutes of virtual time while its
 /// receiver starves on a planned inflow that never materializes.
 constexpr double kRerateRestartFactor = 2.0;
-/// Eligibility probes the indexed rarest-first scan may spend before
-/// falling back to the linear window scan (which is the semantics of
-/// record — both paths pick the identical chunk).
+/// Profiler classification of a pick (the gated index_picks/linear_scans
+/// split): "indexed" when the window holds at most this many chunks or the
+/// pick ranks within this many in (replicas, id) order over the window.
 constexpr int kIndexProbeBudget = 96;
+constexpr std::uint64_t kAllBits = ~std::uint64_t{0};
 }  // namespace
 
 Execution::Execution(ExecutionConfig config) : config_(config) {
@@ -174,10 +175,7 @@ void Execution::remove_node(int id) {
   --alive_nodes_;
   // The departed copies stop counting toward rarity.
   for (int chunk = node.skip_before; chunk < emitted_; ++chunk) {
-    if (bit(node.have, chunk)) {
-      const int old = replicas_[static_cast<std::size_t>(chunk)]--;
-      rarity_move(chunk, old, old - 1);
-    }
+    if (bit(node.have, chunk)) --replicas_[static_cast<std::size_t>(chunk)];
   }
   std::vector<int> doomed = node.in;
   doomed.insert(doomed.end(), node.out.begin(), node.out.end());
@@ -205,10 +203,7 @@ void Execution::crash_node(int id) {
   // The crashed copies stop counting toward rarity — survivors must
   // re-spread anything the corpse alone held onward.
   for (int chunk = node.skip_before; chunk < emitted_; ++chunk) {
-    if (bit(node.have, chunk)) {
-      const int old = replicas_[static_cast<std::size_t>(chunk)]--;
-      rarity_move(chunk, old, old - 1);
-    }
+    if (bit(node.have, chunk)) --replicas_[static_cast<std::size_t>(chunk)];
   }
   // Freeze every adjacent pipe *in place*: strand in-flight transmissions
   // (generation bump), hand their window slots and reservations back to
@@ -283,9 +278,7 @@ void Execution::write_off_chunk(int chunk) {
       node.completion_time = now_;
     }
   }
-  const int old = replicas_[static_cast<std::size_t>(chunk)];
   replicas_[static_cast<std::size_t>(chunk)] = holders;
-  rarity_move(chunk, old, holders);
 }
 
 int Execution::failover_source() {
@@ -554,21 +547,6 @@ void Execution::edge_stats_into(std::vector<EdgeStats>& out) const {
   }
 }
 
-// ------------------------------------------------------------- scan index
-
-void Execution::rarity_insert(int chunk, int replicas) {
-  if (!config_.use_scan_index) return;
-  const auto bucket = static_cast<std::size_t>(replicas);
-  if (bucket >= by_rarity_.size()) by_rarity_.resize(bucket + 1);
-  by_rarity_[bucket].insert(chunk);
-}
-
-void Execution::rarity_move(int chunk, int old_replicas, int new_replicas) {
-  if (!config_.use_scan_index) return;
-  by_rarity_[static_cast<std::size_t>(old_replicas)].erase(chunk);
-  rarity_insert(chunk, new_replicas);
-}
-
 void Execution::remove_pipe(int slot) {
   Pipe& pipe = pipes_[static_cast<std::size_t>(slot)];
   if (!pipe.active) return;
@@ -698,7 +676,6 @@ void Execution::emit_chunks() {
     last_emit_time_ = now_;
     emit_time_.push_back(now_);
     replicas_.push_back(source.alive ? 1 : 0);
-    rarity_insert(chunk, replicas_.back());
     set_bit(source.have, chunk);
     if (config_.lineage != nullptr) {
       config_.lineage->record_emit(config_.trace_id, origin_, chunk, now_);
@@ -830,7 +807,6 @@ void Execution::deliver(Node& node, int node_id, int chunk) {
   set_bit(node.have, chunk);
   ++node.delivered;
   const int replicas = ++replicas_[static_cast<std::size_t>(chunk)];
-  rarity_move(chunk, replicas - 1, replicas);
   ++delivered_chunks_;
   if (traced_chunk(config_, chunk)) {
     config_.trace->instant_at(obs::Lane::kExecution, "dataplane", "deliver",
@@ -894,38 +870,61 @@ void Execution::pick_linear(const Node& sender, const Node& receiver,
   }
 }
 
-// Indexed form: probes chunks in ascending (replica count, id) order via
-// the per-rarity buckets, so the first eligible unreserved chunk *is* the
-// linear scan's pick and a deep backlog costs a handful of probes instead
-// of a scan_limit-wide sweep. Returns false when the probe budget runs out
-// (pathological eligibility patterns) — the caller falls back to the
-// linear scan, keeping the picked chunk identical either way.
-bool Execution::pick_indexed(const Node& sender, const Node& receiver,
+// Word-parallel form: one pass over the window's 64-bit words of
+// sender.have & ~receiver.have, walking set bits in id order and keeping
+// the min (replicas, id). The reservation map is consulted only for a
+// chunk whose replica count beats the current best, so a deep backlog
+// costs a word sweep plus a handful of lookups. Overtake candidates are
+// tracked as in pick_linear; they only matter when no best exists, and
+// then every candidate was examined, so the pick is identical.
+void Execution::pick_indexed(const Node& sender, const Node& receiver,
                              double my_eta, double rescue, int start, int end,
                              int& best, int& overtake) const {
   best = -1;
   overtake = -1;
-  int probes = 0;
-  for (const std::set<int>& bucket : by_rarity_) {
-    if (bucket.empty()) continue;
-    for (auto it = bucket.lower_bound(start); it != bucket.end() && *it < end;
-         ++it) {
-      if (++probes > kIndexProbeBudget) return false;
-      const int chunk = *it;
-      if (bit(receiver.have, chunk)) continue;
-      if (!node_has(sender, chunk)) continue;
+  int best_replicas = std::numeric_limits<int>::max();
+  int overtake_replicas = std::numeric_limits<int>::max();
+  const int from = std::max(start, sender.skip_before);
+  if (from >= end) return;
+  const auto first = static_cast<std::size_t>(from) >> 6;
+  const auto last = static_cast<std::size_t>(end - 1) >> 6;
+  // The sender holds nothing past its bitset; the receiver lacks it all.
+  const std::size_t stop = std::min(last + 1, sender.have.size());
+  for (std::size_t w = first; w < stop; ++w) {
+    std::uint64_t word = sender.have[w];
+    if (w < receiver.have.size()) word &= ~receiver.have[w];
+    if (w == first) word &= kAllBits << (static_cast<unsigned>(from) & 63U);
+    if (w == last) word &= kAllBits >> (63U - ((end - 1U) & 63U));
+    for (; word != 0; word &= word - 1) {
+      const int chunk = static_cast<int>(w << 6) + __builtin_ctzll(word);
+      const int rep = replicas_[static_cast<std::size_t>(chunk)];
+      if (rep >= best_replicas) continue;
       const auto reserved = receiver.inflight.find(chunk);
       if (reserved == receiver.inflight.end() ||
           (rescue > 0.0 &&
            my_eta - now_ < rescue * (reserved->second.eta - now_))) {
-        best = chunk;  // min (replicas, id) over all eligible: done
-        return true;
+        best = chunk;
+        best_replicas = rep;
+      } else if (config_.overtake_factor > 0.0 && rep < overtake_replicas &&
+                 my_eta - now_ <
+                     config_.overtake_factor * (reserved->second.eta - now_)) {
+        overtake = chunk;
+        overtake_replicas = rep;
       }
-      if (overtake < 0 && config_.overtake_factor > 0.0 &&
-          my_eta - now_ <
-              config_.overtake_factor * (reserved->second.eta - now_)) {
-        overtake = chunk;  // first in (replicas, id) order = linear's pick
-      }
+    }
+  }
+}
+
+bool Execution::within_probe_budget(int start, int end, int best) const {
+  if (end - start <= kIndexProbeBudget) return true;
+  if (best < 0) return false;
+  const int best_replicas = replicas_[static_cast<std::size_t>(best)];
+  int rank = 0;
+  for (int chunk = start; chunk < end; ++chunk) {
+    const int rep = replicas_[static_cast<std::size_t>(chunk)];
+    if ((rep < best_replicas || (rep == best_replicas && chunk <= best)) &&
+        ++rank > kIndexProbeBudget) {
+      return false;
     }
   }
   return true;
@@ -974,15 +973,15 @@ void Execution::try_send(int pipe_slot) {
           : config_.rescue_factor_hard;
   int best = -1;
   int overtake = -1;
-  const bool indexed =
-      config_.use_scan_index &&
-      pick_indexed(sender, receiver, my_eta, rescue, start, end, best,
-                   overtake);
-  if (!indexed) {
+  if (config_.use_scan_index) {
+    pick_indexed(sender, receiver, my_eta, rescue, start, end, best, overtake);
+  } else {
     pick_linear(sender, receiver, my_eta, rescue, start, end, best, overtake);
   }
   if (config_.profiler != nullptr) {
-    indexed ? ++sched_index_picks_ : ++sched_linear_scans_;
+    config_.use_scan_index && within_probe_budget(start, end, best)
+        ? ++sched_index_picks_
+        : ++sched_linear_scans_;
   }
   const bool used_overtake = best < 0 && overtake >= 0;
   if (best < 0) best = overtake;

@@ -41,8 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include <set>
-
 #include "bmp/core/instance.hpp"
 #include "bmp/core/scheme.hpp"
 #include "bmp/dataplane/event_queue.hpp"
@@ -116,12 +114,12 @@ struct ExecutionConfig {
   /// Rarest-first scan horizon past a receiver's first missing chunk; caps
   /// scheduler cost when a slow node accumulates a deep backlog.
   int scan_limit = 4096;
-  /// Per-rarity bucket index over the emitted window: the scheduler probes
-  /// chunks in ascending (replica count, id) order and usually finds the
-  /// pick within a handful of probes instead of scanning the whole backlog
-  /// window linearly. Picks are bit-identical with the index off (the
-  /// linear scan remains the semantics of record and the fallback when a
-  /// probe budget is exhausted); the flag exists for differential tests.
+  /// Word-parallel rarest-first pick: the scheduler sweeps the window's
+  /// 64-bit words of sender.have & ~receiver.have and checks reservations
+  /// only for chunks rarer than the best so far, instead of testing every
+  /// chunk of the window one by one. Picks are bit-identical with this off
+  /// (the per-chunk linear scan is the semantics of record); the flag
+  /// exists for differential tests.
   bool use_scan_index = true;
   /// Keep per-delivery chunk latencies for drain_latencies() (the runtime
   /// feeds them into its dataplane.chunk_latency histogram).
@@ -447,9 +445,6 @@ class Execution {
   Node& node_at(int id, const char* who);
 
   [[nodiscard]] const LinkProfile& profile_for(const Pipe& pipe) const;
-  /// Keeps the per-rarity bucket index in sync with replicas_.
-  void rarity_insert(int chunk, int replicas);
-  void rarity_move(int chunk, int old_replicas, int new_replicas);
 
   void process(const ChunkEvent& event);
   void emit_chunks();
@@ -458,16 +453,19 @@ class Execution {
   void on_arrival(const ChunkEvent& event);
   void deliver(Node& node, int node_id, int chunk);
   /// Rarest-first candidate selection: `pick_linear` is the semantics of
-  /// record (ascending window scan); `pick_indexed` probes the per-rarity
-  /// buckets in ascending (replicas, id) order and returns false when its
-  /// probe budget runs out (caller falls back to the linear scan). Both
-  /// produce the identical pick.
+  /// record (per-chunk ascending window scan); `pick_indexed` sweeps the
+  /// window word by word over sender.have & ~receiver.have. Both produce
+  /// the identical pick.
   void pick_linear(const Node& sender, const Node& receiver, double my_eta,
                    double rescue, int start, int end, int& best,
                    int& overtake) const;
-  bool pick_indexed(const Node& sender, const Node& receiver, double my_eta,
+  void pick_indexed(const Node& sender, const Node& receiver, double my_eta,
                     double rescue, int start, int end, int& best,
                     int& overtake) const;
+  /// Profiler classification of a pick as index_picks (vs linear_scans):
+  /// the window [start, end) holds at most kIndexProbeBudget chunks, or
+  /// `best` ranks within that many in (replicas, id) order over it.
+  [[nodiscard]] bool within_probe_budget(int start, int end, int best) const;
   /// Rarest-first pick + transmission start for one idle pipe.
   void try_send(int pipe_slot);
   void activate_sender(int node_id);
@@ -501,10 +499,6 @@ class Execution {
 
   std::vector<double> emit_time_;  ///< per chunk, for latency measurement
   std::vector<int> replicas_;      ///< per chunk, alive holders (rarest-first)
-  /// Scan index: bucket r holds the emitted chunks with exactly r alive
-  /// holders, ordered by id — the scheduler's ascending-(rarity, id) probe
-  /// order. Maintained on every replicas_ change; empty when disabled.
-  std::vector<std::set<int>> by_rarity_;
   /// (from, to) -> explicit LinkProfile override (outlives the pipe).
   std::map<std::pair<int, int>, LinkProfile> edge_profiles_;
 

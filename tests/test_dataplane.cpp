@@ -18,6 +18,7 @@
 #include "bmp/dataplane/execution.hpp"
 #include "bmp/flow/verify.hpp"
 #include "bmp/gen/generator.hpp"
+#include "bmp/obs/profiler.hpp"
 #include "bmp/runtime/runtime.hpp"
 #include "bmp/runtime/scenario.hpp"
 #include "bmp/util/rng.hpp"
@@ -302,37 +303,143 @@ TEST(Execution, RateJitterSlowsButReplaysDeterministically) {
   EXPECT_DOUBLE_EQ(jittered, run());
 }
 
-TEST(Execution, ScanIndexPicksMatchTheLinearScan) {
-  // Differential: the per-rarity bucket index must pick the identical
-  // chunk as the linear window scan at every send — identical event
-  // streams, to the bit, loss and all.
-  util::Xoshiro256 rng(9);
+// One seeded differential scenario for the scan-index sweep: a paced
+// lossy stream over a random overlay with a 100-chunk scan horizon (windows
+// straddle 64-bit words), rescue armed at a tiny backlog, a brownout, late
+// joiners whose first wanted chunk falls mid-word (their `have` bitsets
+// start empty, shorter than any window), a peer crash, a departure, and a
+// source crash followed by failover (write-offs).
+Execution run_index_scenario(std::uint64_t seed, bool indexed,
+                             obs::Profiler* profiler = nullptr) {
+  util::Xoshiro256 rng(seed);
   const Instance platform =
-      gen::random_instance({60, 0.6, gen::Dist::kUnif100}, rng);
+      gen::random_instance({40, 0.6, gen::Dist::kUnif100}, rng);
   const AcyclicSolution solution = solve_acyclic(platform);
+  const double rate = solution.throughput;
+  ExecutionConfig config;
+  config.chunk_size = rate * 0.05;
+  config.total_chunks = 320;
+  config.emission_rate = rate;
+  config.loss_rate = 0.04;
+  config.latency = 0.01;
+  config.seed = seed;
+  config.scan_limit = 100;
+  config.rescue_factor = 0.5;
+  config.rescue_buffer_windows = 0.25;
+  config.overtake_factor = 0.5;
+  config.use_scan_index = indexed;
+  config.profiler = profiler;
+  Execution exec(platform, solution.scheme, config);
+  const int peers = exec.num_nodes();
+  const auto pick_peer = [&] {
+    int peer = 0;
+    while (!exec.node_alive(peer) || peer == exec.origin()) {
+      peer = 1 + static_cast<int>(rng.uniform() * (peers - 1));
+    }
+    return peer;
+  };
+  const auto join_mid_word = [&] {
+    while (exec.emitted() % 64 == 0) exec.run_until(exec.now() + 0.01);
+    const int late = exec.add_node(rate);
+    exec.set_edge(pick_peer(), late, rate * 0.6);
+    exec.set_edge(exec.origin(), late, rate * 0.3);
+    exec.set_edge(late, pick_peer(), rate * 0.5);
+  };
+  exec.run_until(2.0);
+  exec.set_effective_capacity(pick_peer(), rate * 0.2);
+  join_mid_word();
+  exec.run_until(4.0);
+  exec.crash_node(pick_peer());
+  join_mid_word();
+  exec.run_until(6.0);
+  exec.remove_node(pick_peer());
+  exec.run_until(9.0);
+  exec.crash_node(exec.origin());
+  exec.failover_source();
+  exec.run_to_completion();
+  return exec;
+}
+
+TEST(Execution, ScanIndexPicksMatchTheLinearScan) {
+  // Differential sweep: the indexed rarest-first pick must choose the
+  // identical chunk as the linear window scan at every send, so both runs
+  // replay the same event stream to the bit — loss, rescue, overtaking,
+  // brownout, late joins, crashes and failover write-offs included.
+  std::uint64_t written_off = 0;
+  std::uint64_t duplicates = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    const Execution with_index = run_index_scenario(seed, true);
+    const Execution without = run_index_scenario(seed, false);
+    ASSERT_EQ(with_index.num_nodes(), without.num_nodes()) << "seed " << seed;
+    for (int node = 1; node < with_index.num_nodes(); ++node) {
+      EXPECT_DOUBLE_EQ(with_index.completion_time(node),
+                       without.completion_time(node))
+          << "seed " << seed << " node " << node;
+      EXPECT_EQ(with_index.delivered(node), without.delivered(node))
+          << "seed " << seed << " node " << node;
+    }
+    const NodeProgress late = with_index.progress(with_index.num_nodes() - 1);
+    EXPECT_NE(late.skipped % 64, 0) << "seed " << seed;
+    EXPECT_EQ(with_index.losses(), without.losses()) << "seed " << seed;
+    EXPECT_EQ(with_index.duplicates(), without.duplicates()) << "seed " << seed;
+    EXPECT_EQ(with_index.hol_stalls(), without.hol_stalls()) << "seed " << seed;
+    EXPECT_EQ(with_index.written_off(), without.written_off())
+        << "seed " << seed;
+    EXPECT_TRUE(with_index.validate().empty()) << "seed " << seed;
+    written_off += with_index.written_off();
+    duplicates += with_index.duplicates();
+  }
+  // The sweep must actually reach the write-off and overtake/rescue paths.
+  EXPECT_GT(written_off, 0u);
+  EXPECT_GT(duplicates, 0u);
+}
+
+TEST(Execution, ScanIndexProfilerCountersArePinned) {
+  // The scheduler's index_picks / linear_scans split is a gated profile
+  // counter: a pick counts as indexed when its window fits the probe budget
+  // or its (replicas, id) rank does. Both scenarios yield both classes; the
+  // expected values were recorded from the per-rarity bucket index this
+  // classification originally described.
+  struct Pin {
+    std::uint64_t attempts, index_picks, linear_scans, no_chunk;
+  };
+  const auto scheduler = [](const obs::Profiler& profiler) {
+    const auto counter = [&](const char* name) {
+      return profiler.counter("dataplane/scheduler", name);
+    };
+    return Pin{counter("attempts"), counter("index_picks"),
+               counter("linear_scans"), counter("no_chunk")};
+  };
+  const auto expect_pin = [](const Pin& got, const Pin& want) {
+    EXPECT_EQ(got.attempts, want.attempts);
+    EXPECT_EQ(got.index_picks, want.index_picks);
+    EXPECT_EQ(got.linear_scans, want.linear_scans);
+    EXPECT_EQ(got.no_chunk, want.no_chunk);
+  };
+
+  // Deep backlog: a file transfer (every chunk emitted at t = 0) over a
+  // 400-chunk window, with losses and a mid-run crash.
+  util::Xoshiro256 rng(31);
+  const Instance platform =
+      gen::random_instance({50, 0.6, gen::Dist::kUnif100}, rng);
+  const AcyclicSolution solution = solve_acyclic(platform);
+  obs::Profiler deep;
   ExecutionConfig config;
   config.chunk_size = solution.throughput * 0.05;
-  config.total_chunks = 200;
-  config.emission_rate = solution.throughput;
-  config.loss_rate = 0.05;
-  config.seed = 77;
-  const auto run = [&](bool indexed) {
-    config.use_scan_index = indexed;
-    Execution exec(platform, solution.scheme, config);
-    exec.run_to_completion();
-    return exec;
-  };
-  const Execution with_index = run(true);
-  const Execution without = run(false);
-  ASSERT_EQ(with_index.num_nodes(), without.num_nodes());
-  for (int node = 1; node < with_index.num_nodes(); ++node) {
-    EXPECT_DOUBLE_EQ(with_index.completion_time(node),
-                     without.completion_time(node))
-        << "node " << node;
-  }
-  EXPECT_EQ(with_index.losses(), without.losses());
-  EXPECT_EQ(with_index.duplicates(), without.duplicates());
-  EXPECT_EQ(with_index.hol_stalls(), without.hol_stalls());
+  config.total_chunks = 400;
+  config.loss_rate = 0.02;
+  config.seed = 5;
+  config.profiler = &deep;
+  Execution exec(platform, solution.scheme, config);
+  exec.run_until(10.0);
+  exec.crash_node(7);
+  exec.run_to_completion();
+  expect_pin(scheduler(deep), {26852, 6082, 20770, 6720});
+
+  // Paced stream whose 100-chunk horizon straddles the probe budget.
+  obs::Profiler paced;
+  run_index_scenario(3, true, &paced);
+  expect_pin(scheduler(paced), {26448, 20878, 5569, 13705});
 }
 
 TEST(Execution, SharpUpwardRerateRestartsTheInFlightTransmission) {

@@ -374,6 +374,7 @@ int main(int argc, char** argv) {
   int regressions = 0;
   int improvements = 0;
   int compared = 0;
+  int changed = 0;
   for (const auto& [key, base_value] : base.numbers) {
     const auto it = cand.numbers.find(key);
     if (it == cand.numbers.end()) continue;
@@ -383,6 +384,7 @@ int main(int argc, char** argv) {
     if (counters_only && rule.direction != Direction::kExact) continue;
     ++compared;
     const double delta = cand_value - base_value;
+    if (delta != 0.0) ++changed;
     const double pct =
         base_value != 0.0 ? 100.0 * delta / std::fabs(base_value)
                           : (delta == 0.0 ? 0.0 : INFINITY);
@@ -440,8 +442,8 @@ int main(int argc, char** argv) {
                 to_string(rule.direction));
   }
   std::printf(
-      "bench_diff: %d compared, %d regressed, %d improved, %zu changed\n",
-      compared, regressions, improvements, rows.size());
+      "bench_diff: %d compared, %d regressed, %d improved, %d changed\n",
+      compared, regressions, improvements, changed);
   if (compared == 0) {
     std::fprintf(stderr,
                  "bench_diff: no comparable metrics — wrong report pair?\n");
