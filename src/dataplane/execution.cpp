@@ -518,12 +518,6 @@ const LinkProfile& Execution::profile_for(const Pipe& pipe) const {
   return nodes_[static_cast<std::size_t>(pipe.from)].egress;
 }
 
-std::vector<EdgeStats> Execution::edge_stats() const {
-  std::vector<EdgeStats> stats;
-  edge_stats_into(stats);
-  return stats;
-}
-
 void Execution::edge_stats_into(std::vector<EdgeStats>& out) const {
   out.clear();
   out.reserve(pipe_of_.size());

@@ -297,11 +297,10 @@ class Execution {
   void set_edge_profile(int from, int to, const LinkProfile& profile);
   void clear_edge_profile(int from, int to);
 
-  /// Cumulative per-pipe counters, ordered by (from, to) — deterministic.
-  [[nodiscard]] std::vector<EdgeStats> edge_stats() const;
-  /// Same rows into a caller-owned buffer (cleared first). Per-tick
-  /// telemetry sweeps reuse one scratch vector so the steady state
-  /// allocates nothing (Runtime::feed_edge_telemetry).
+  /// Cumulative per-pipe counters, ordered by (from, to) — deterministic —
+  /// into a caller-owned buffer (cleared first). The runtime reads each
+  /// stream once per control tick into one reused frame, so the steady
+  /// state allocates nothing (Runtime::read_frame).
   void edge_stats_into(std::vector<EdgeStats>& out) const;
 
   // ------------------------------------------------------------ advance

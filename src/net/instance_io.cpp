@@ -1,5 +1,6 @@
 #include "bmp/net/instance_io.hpp"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -99,7 +100,8 @@ BroadcastScheme parse_scheme(std::istream& in, int num_nodes) {
     int to = 0;
     double rate = 0.0;
     if (!(ls >> from)) continue;
-    if (!(ls >> to >> rate)) {
+    if (!(ls >> to >> rate) || from < 0 || from >= num_nodes || to < 0 ||
+        to >= num_nodes || !std::isfinite(rate)) {
       throw std::invalid_argument("scheme parse error, line " +
                                   std::to_string(line_no));
     }

@@ -32,7 +32,9 @@ PlatformFile parse_platform_string(const std::string& text);
 
 std::string serialize_platform(const Instance& instance);
 
-/// Scheme round trip.
+/// Scheme round trip. Parsing throws std::invalid_argument with a line
+/// number on a malformed line, a node id outside [0, num_nodes) or a
+/// non-finite rate.
 std::string serialize_scheme(const BroadcastScheme& scheme);
 BroadcastScheme parse_scheme(std::istream& in, int num_nodes);
 BroadcastScheme parse_scheme_string(const std::string& text, int num_nodes);

@@ -43,6 +43,12 @@ const char* to_string(FaultAction::Kind kind) {
 
 namespace {
 
+/// Edge-memo key: runtime ids packed as from << 32 | to.
+std::uint64_t edge_key(int from, int to) {
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32 |
+         static_cast<std::uint32_t>(to);
+}
+
 // The trace sink and profiler ride into the planner through its config;
 // the planner is constructed in the member-init list, so the splice
 // happens in a value helper rather than in the constructor body.
@@ -632,20 +638,16 @@ void Runtime::apply_departures(const std::set<int>& departed, double when) {
                        report.achieved_rate / report.design_rate);
     }
   }
-  // Departed peers carry no telemetry history forward: drop their
-  // crash-silence counters and cached (blackout) samples everywhere.
+  // Departed peers carry no telemetry history forward: drop their node and
+  // edge memos everywhere (runtime ids are never reused).
   for (auto& [id, channel] : channels_) {
     (void)id;
-    for (const int node : departed) {
-      channel.silence_activity.erase(node);
-      channel.silent_windows.erase(node);
-      channel.last_node_sample.erase(node);
-    }
-    for (auto it = channel.last_edge_sample.begin();
-         it != channel.last_edge_sample.end();) {
-      if (departed.count(it->first.first) != 0 ||
-          departed.count(it->first.second) != 0) {
-        it = channel.last_edge_sample.erase(it);
+    for (const int node : departed) channel.node_memo.erase(node);
+    for (auto it = channel.edge_memo.begin(); it != channel.edge_memo.end();) {
+      const auto from = static_cast<int>(it->first >> 32);
+      const auto to = static_cast<int>(it->first & 0xffffffffu);
+      if (departed.count(from) != 0 || departed.count(to) != 0) {
+        it = channel.edge_memo.erase(it);
       } else {
         ++it;
       }
@@ -1050,7 +1052,6 @@ void Runtime::control_tick(double t) {
       hot_.control_samples = metrics_.counter_handle("control.samples");
     }
     ++*hot_.control_samples;
-    if (config_.telemetry != nullptr) feed_edge_telemetry(channel, exec);
 
     control::TickInputs inputs;
     inputs.now = t;
@@ -1060,61 +1061,40 @@ void Runtime::control_tick(double t) {
     inputs.chunk_size = chunk;
     channel.control_expected = 0.0;
 
-    // Per-node samples in ascending runtime-id order (dp_of_node is an
-    // ordered map); capacities come from the session's current slots.
-    const std::vector<double> caps = session.capacities();
-    std::map<int, double> granted;
-    for (std::size_t slot = 0; slot < caps.size(); ++slot) {
-      granted[channel.node_of_slot[slot]] = caps[slot];
-    }
-    const double warmup_grace = config_.control.controller.warmup_grace;
-    std::map<int, int> rid_of_dp;
-    for (const auto& [rid, dp] : channel.dp_of_node) {
-      rid_of_dp[dp] = rid;
-      const Node& info = nodes_[static_cast<std::size_t>(rid)];
-      control::NodeSample sample;
-      sample.id = rid;
-      sample.nominal = info.bandwidth * channel.grant.fraction;
-      const auto grant_it = granted.find(rid);
-      sample.granted = grant_it == granted.end() ? 0.0 : grant_it->second;
-      sample.delivered = exec.delivered(dp) * chunk;
-      const dataplane::NodeProgress progress = exec.progress(dp);
-      sample.judgeable = dp != 0 && progress.alive &&
-                         progress.joined + warmup_grace <= t - inputs.window;
-      if (info.blackout) {
-        // Telemetry blackout: the collector is dark, so the controller
-        // sees the last sample it actually observed, frozen — the exact
-        // signature its stale-telemetry guard refuses to judge — never
-        // fresh data it could not have collected.
-        const auto cached = channel.last_node_sample.find(rid);
-        if (cached != channel.last_node_sample.end()) sample = cached->second;
-      } else {
-        channel.last_node_sample[rid] = sample;
+    // Crash detection. A crashed peer sends no leave event, but its
+    // signature is unmistakable: delivered stands still and every adjacent
+    // pipe's attempts + sent counters freeze (try_send bails on a dead
+    // endpoint *before* counting the attempt). A partitioned peer is the
+    // opposite — senders keep attempting and losing — so partitions never
+    // false-trigger. Counters are read from the raw rows (the failure
+    // detector is not behind the blackout's telemetry veil), but
+    // blacked-out peers still get the benefit of the doubt: their silence
+    // counters pause rather than accumulate.
+    const bool watch_crashes =
+        config_.fault.detect_crashes && session.current_rate() > 0.0;
+    read_frame(channel);
+    if (watch_crashes) frame_.activity.assign(nodes_.size(), 0);
+
+    // Per-edge samples, re-sorted by runtime ids so the controller's
+    // iteration order is stable. The controller sees a blacked-out
+    // endpoint's edges frozen at their last observed sample; the crash
+    // detector and the heavy hitters read the raw row.
+    for (const dataplane::EdgeStats& stats : frame_.edges) {
+      const auto from = static_cast<std::size_t>(stats.from);
+      const auto to = static_cast<std::size_t>(stats.to);
+      if (watch_crashes) {
+        frame_.activity[from] += stats.attempts + stats.sent;
+        frame_.activity[to] += stats.attempts + stats.sent;
       }
-      inputs.nodes.push_back(sample);
-    }
-    // Per-edge samples, re-keyed from execution ids to runtime ids and
-    // re-sorted so the controller's iteration order is stable.
-    for (const dataplane::EdgeStats& stats : exec.edge_stats()) {
-      const auto from_it = rid_of_dp.find(stats.from);
-      const auto to_it = rid_of_dp.find(stats.to);
-      if (from_it == rid_of_dp.end() || to_it == rid_of_dp.end()) continue;
-      control::EdgeSample sample;
-      sample.from = from_it->second;
-      sample.to = to_it->second;
-      sample.rate = stats.rate;
-      sample.busy_time = stats.busy_time;
-      sample.completed = stats.completed;
-      sample.sent = stats.sent;
-      sample.lost = stats.lost;
-      sample.attempts = stats.attempts;
-      const std::pair<int, int> key{sample.from, sample.to};
-      if (nodes_[static_cast<std::size_t>(sample.from)].blackout ||
-          nodes_[static_cast<std::size_t>(sample.to)].blackout) {
-        const auto cached = channel.last_edge_sample.find(key);
-        if (cached != channel.last_edge_sample.end()) sample = cached->second;
-      } else {
-        channel.last_edge_sample[key] = sample;
+      control::EdgeSample sample{
+          stats.from,      stats.to,   stats.rate, stats.busy_time,
+          stats.completed, stats.sent, stats.lost, stats.attempts};
+      std::optional<control::EdgeSample>& cached =
+          channel.edge_memo[edge_key(stats.from, stats.to)].sample;
+      if (!nodes_[from].blackout && !nodes_[to].blackout) {
+        cached = sample;
+      } else if (cached) {
+        sample = *cached;
       }
       inputs.edges.push_back(sample);
     }
@@ -1124,48 +1104,56 @@ void Runtime::control_tick(double t) {
                        std::make_pair(b.from, b.to);
               });
 
-    if (config_.fault.detect_crashes && session.current_rate() > 0.0) {
-      // Crash detection. A crashed peer sends no leave event, but its
-      // signature is unmistakable: delivered stands still and every
-      // adjacent pipe's attempts + sent counters freeze (try_send bails on
-      // a dead endpoint *before* counting the attempt). A partitioned peer
-      // is the opposite — senders keep attempting and losing — so
-      // partitions never false-trigger. Counters are read raw from the
-      // execution (the failure detector is not behind the blackout's
-      // telemetry veil), but blacked-out peers still get the benefit of
-      // the doubt: their silence counters pause rather than accumulate.
-      std::map<int, std::uint64_t> activity;
-      for (const dataplane::EdgeStats& stats : exec.edge_stats()) {
-        const auto from_it = rid_of_dp.find(stats.from);
-        const auto to_it = rid_of_dp.find(stats.to);
-        if (from_it == rid_of_dp.end() || to_it == rid_of_dp.end()) continue;
-        activity[from_it->second] += stats.attempts + stats.sent;
-        activity[to_it->second] += stats.attempts + stats.sent;
+    // Per-node samples in ascending runtime-id order (dp_of_node is an
+    // ordered map); capacities come from the session's current slots.
+    const std::vector<double> caps = session.capacities();
+    frame_.granted.assign(nodes_.size(), 0.0);
+    for (std::size_t slot = 0; slot < caps.size(); ++slot) {
+      frame_.granted[static_cast<std::size_t>(channel.node_of_slot[slot])] =
+          caps[slot];
+    }
+    const double warmup_grace = config_.control.controller.warmup_grace;
+    const int source_rid = channel.node_of_slot[0];
+    for (const auto& [rid, dp] : channel.dp_of_node) {
+      const Node& info = nodes_[static_cast<std::size_t>(rid)];
+      Channel::NodeMemo& memo = channel.node_memo[rid];
+      control::NodeSample sample;
+      sample.id = rid;
+      sample.nominal = info.bandwidth * channel.grant.fraction;
+      sample.granted = frame_.granted[static_cast<std::size_t>(rid)];
+      sample.delivered = exec.delivered(dp) * chunk;
+      const dataplane::NodeProgress progress = exec.progress(dp);
+      sample.judgeable = dp != 0 && progress.alive &&
+                         progress.joined + warmup_grace <= t - inputs.window;
+      if (!info.blackout) {
+        memo.sample = sample;
+      } else if (memo.sample) {
+        // Telemetry blackout: the collector is dark, so the controller
+        // sees the last sample it actually observed, frozen — the exact
+        // signature its stale-telemetry guard refuses to judge — never
+        // fresh data it could not have collected.
+        sample = *memo.sample;
       }
-      const int source_rid = channel.node_of_slot[0];
-      for (const auto& [rid, dp] : channel.dp_of_node) {
-        if (rid == source_rid) continue;
-        if (nodes_[static_cast<std::size_t>(rid)].blackout) continue;
-        // Correlated silence across a whole region is a partition
-        // signature, not a crash — real failure detectors gate on quorum
-        // for exactly this reason. Pause the counter until the heal.
-        if (nodes_[static_cast<std::size_t>(rid)].partition_group != 0) {
-          continue;
-        }
-        const std::uint64_t observed =
-            activity[rid] + static_cast<std::uint64_t>(exec.delivered(dp));
-        const auto prev = channel.silence_activity.find(rid);
-        if (prev != channel.silence_activity.end() &&
-            prev->second == observed) {
-          if (++channel.silent_windows[rid] >=
-              config_.fault.crash_silence_windows) {
-            crash_candidates.insert(rid);
-          }
-        } else {
-          channel.silent_windows[rid] = 0;
-        }
-        channel.silence_activity[rid] = observed;
+      inputs.nodes.push_back(sample);
+
+      // Correlated silence across a whole region is a partition
+      // signature, not a crash — real failure detectors gate on quorum for
+      // exactly this reason. Pause the counter until the heal.
+      if (!watch_crashes || rid == source_rid || info.blackout ||
+          info.partition_group != 0) {
+        continue;
       }
+      const std::uint64_t observed =
+          frame_.activity[static_cast<std::size_t>(rid)] +
+          static_cast<std::uint64_t>(exec.delivered(dp));
+      if (memo.activity == observed) {
+        if (++memo.silent_windows >= config_.fault.crash_silence_windows) {
+          crash_candidates.insert(rid);
+        }
+      } else {
+        memo.silent_windows = 0;
+      }
+      memo.activity = observed;
     }
 
     const control::Directive directive = channel.controller->tick(inputs);
@@ -1199,20 +1187,9 @@ void Runtime::control_tick(double t) {
     if (directive.act) apply_directive(id, channel, directive, t);
 
     if (channel.slo) {
-      // Fresh latency SLI input at the boundary (the same tee as the
-      // per-event drain in export_dataplane_metrics — identical observation
-      // sequence, just not deferred to the next event).
-      for (const double latency : channel.execution->drain_latencies()) {
-        if (hot_.dp_chunk_latency == nullptr) {
-          hot_.dp_chunk_latency =
-              metrics_.histogram_handle("dataplane.chunk_latency");
-        }
-        hot_.dp_chunk_latency->observe(latency);
-        if (config_.telemetry != nullptr) {
-          config_.telemetry->observe(tel_.latency, latency);
-        }
-        channel.slo->observe_latency(latency);
-      }
+      // Fresh latency SLI input at the boundary (the per-event drain of
+      // export_dataplane_metrics, just not deferred to the next event).
+      tee_latencies(channel);
       // Windowed sustained SLI: the worst judgeable node's delivered delta
       // against the emission promise over the last slo_sustained_window
       // ticks. Windowed — not cumulative — so a node crippled by a healed
@@ -1583,7 +1560,13 @@ void Runtime::export_dataplane_metrics(int id, Channel& channel) {
         exec.hol_stalls(), channel.seen_stalls);
   delta(hot_.dp_duplicates, "dataplane.duplicates", tel_.duplicates,
         exec.duplicates(), channel.seen_duplicates);
-  for (const double latency : exec.drain_latencies()) {
+  tee_latencies(channel);
+  metrics_.set(channel_metric(id, "dataplane.delivered"),
+               static_cast<double>(exec.delivered_chunks()));
+}
+
+void Runtime::tee_latencies(Channel& channel) {
+  for (const double latency : channel.execution->drain_latencies()) {
     if (hot_.dp_chunk_latency == nullptr) {
       hot_.dp_chunk_latency =
           metrics_.histogram_handle("dataplane.chunk_latency");
@@ -1594,52 +1577,45 @@ void Runtime::export_dataplane_metrics(int id, Channel& channel) {
     }
     if (channel.slo) channel.slo->observe_latency(latency);
   }
-  metrics_.set(channel_metric(id, "dataplane.delivered"),
-               static_cast<double>(exec.delivered_chunks()));
 }
 
-void Runtime::feed_edge_telemetry(Channel& channel,
-                                  const dataplane::Execution& exec) {
+void Runtime::read_frame(Channel& channel) {
+  const dataplane::Execution& exec = *channel.execution;
+  std::vector<dataplane::EdgeStats>& rows = frame_.edges;
+  std::vector<int>& rid_of_dp = frame_.rid_of_dp;
+  exec.edge_stats_into(rows);
+  rid_of_dp.assign(static_cast<std::size_t>(exec.num_nodes()), -1);
+  for (const auto& [rid, dp] : channel.dp_of_node) {
+    rid_of_dp[static_cast<std::size_t>(dp)] = rid;
+  }
+  std::size_t kept = 0;
+  for (dataplane::EdgeStats& stats : rows) {
+    stats.from = rid_of_dp[static_cast<std::size_t>(stats.from)];
+    stats.to = rid_of_dp[static_cast<std::size_t>(stats.to)];
+    if (stats.from >= 0 && stats.to >= 0) rows[kept++] = stats;
+  }
+  rows.resize(kept);
+  if (config_.telemetry == nullptr) return;
   obs::ShardRegistry& shard = *config_.telemetry;
   const std::string& prefix = config_.telemetry_node_prefix;
-  // This sweep runs at every control tick; both lookup structures are
-  // reused scratch, so the steady state allocates nothing.
-  std::vector<int>& rid_of_dp = rid_of_dp_scratch_;
-  rid_of_dp.clear();
-  for (const auto& [rid, dp] : channel.dp_of_node) {
-    const auto slot = static_cast<std::size_t>(dp);
-    if (slot >= rid_of_dp.size()) rid_of_dp.resize(slot + 1, -1);
-    rid_of_dp[slot] = rid;
-  }
-  const auto rid_of = [&](int dp) {
-    const auto slot = static_cast<std::size_t>(dp);
-    return dp >= 0 && slot < rid_of_dp.size() ? rid_of_dp[slot] : -1;
-  };
-  exec.edge_stats_into(edge_stats_scratch_);
-  for (const dataplane::EdgeStats& stats : edge_stats_scratch_) {
-    const int from_rid = rid_of(stats.from);
-    const int to_rid = rid_of(stats.to);
-    if (from_rid < 0 || to_rid < 0) continue;
-    auto& seen = channel.seen_edge_telemetry
-                     [static_cast<std::uint64_t>(
-                          static_cast<std::uint32_t>(from_rid))
-                          << 32 |
-                      static_cast<std::uint32_t>(to_rid)];
+  for (const dataplane::EdgeStats& stats : rows) {
+    Channel::EdgeMemo& memo =
+        channel.edge_memo[edge_key(stats.from, stats.to)];
     // Pipes reset their counters when an overlay patch re-splices them; a
     // counter below its watermark restarts the delta from zero.
     const std::uint64_t lost_delta =
-        stats.lost >= seen.first ? stats.lost - seen.first : stats.lost;
-    const std::uint64_t stall_delta = stats.window_stalls >= seen.second
-                                          ? stats.window_stalls - seen.second
+        stats.lost >= memo.lost ? stats.lost - memo.lost : stats.lost;
+    const std::uint64_t stall_delta = stats.window_stalls >= memo.stalls
+                                          ? stats.window_stalls - memo.stalls
                                           : stats.window_stalls;
-    seen = {stats.lost, stats.window_stalls};
+    memo.lost = stats.lost;
+    memo.stalls = stats.window_stalls;
     if (lost_delta == 0 && stall_delta == 0) continue;
-    const std::string node_key =
-        "node:" + prefix + std::to_string(from_rid);
+    const std::string node_key = "node:" + prefix + std::to_string(stats.from);
     if (lost_delta > 0) {
       shard.offer(tel_.edge_retransmits,
-                  "edge:" + prefix + std::to_string(from_rid) + "->" +
-                      std::to_string(to_rid),
+                  "edge:" + prefix + std::to_string(stats.from) + "->" +
+                      std::to_string(stats.to),
                   lost_delta);
       shard.offer(tel_.node_retransmits, node_key, lost_delta);
     }
@@ -1714,9 +1690,9 @@ StreamReport Runtime::finalize_stream(int id, Channel& channel) {
   if (config_.telemetry != nullptr) {
     config_.telemetry->observe(tel_.sustained,
                                std::max(0.0, report.sustained_ratio));
-    // Control-less runs never tick feed_edge_telemetry; the close-out
-    // sweep attributes whatever accumulated since the last boundary.
-    feed_edge_telemetry(channel, exec);
+    // Control-less runs never tick; the close-out read attributes
+    // whatever accumulated since the last boundary.
+    read_frame(channel);
   }
   metrics_.erase(channel_metric(id, "dataplane.delivered"));
   channel.execution.reset();

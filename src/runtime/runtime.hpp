@@ -28,6 +28,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -352,24 +353,31 @@ class Runtime {
     std::uint64_t seen_retransmits = 0;
     std::uint64_t seen_stalls = 0;
     std::uint64_t seen_duplicates = 0;
-    // ---- fault tolerance ----
-    /// Crash-silence tracking per runtime node id: the last observed
+    // ---- telemetry memory across control ticks ----
+    /// Per runtime node id: crash-silence tracking — the last observed
     /// activity counter (delivered + adjacent attempts + sent) and how many
-    /// consecutive control windows it stood still.
-    std::map<int, std::uint64_t> silence_activity;
-    std::map<int, int> silent_windows;
-    /// Last telemetry actually observed per node/edge — substituted for
-    /// blacked-out nodes, so a blackout freezes what the controller sees
-    /// (the stale-telemetry guard's input) instead of leaking fresh data.
-    std::map<int, control::NodeSample> last_node_sample;
-    std::map<std::pair<int, int>, control::EdgeSample> last_edge_sample;
-    /// Heavy-hitter delta tracking (telemetry hook): last (lost,
-    /// window_stalls) seen per edge, keyed by packed runtime ids
-    /// (from << 32 | to). Hash map: looked up only, never iterated, so
-    /// the unordered layout cannot leak into the deterministic output.
-    std::unordered_map<std::uint64_t,
-                       std::pair<std::uint64_t, std::uint64_t>>
-        seen_edge_telemetry;
+    /// consecutive control windows it stood still — and the last sample
+    /// actually observed, substituted while the node is blacked out so a
+    /// blackout freezes what the controller sees (the stale-telemetry
+    /// guard's input) instead of leaking fresh data.
+    struct NodeMemo {
+      std::optional<std::uint64_t> activity;
+      int silent_windows = 0;
+      std::optional<control::NodeSample> sample;
+    };
+    /// Per overlay edge (packed runtime ids, from << 32 | to): the blackout
+    /// cache of its last observed sample and the heavy-hitter watermarks —
+    /// the (lost, window_stalls) last fed to the telemetry hook.
+    struct EdgeMemo {
+      std::optional<control::EdgeSample> sample;
+      std::uint64_t lost = 0;
+      std::uint64_t stalls = 0;
+    };
+    /// Hash maps: looked up and pruned only, never iterated in output
+    /// order, so the unordered layout cannot leak into the deterministic
+    /// output. Departed nodes are pruned (runtime ids are never reused).
+    std::unordered_map<int, NodeMemo> node_memo;
+    std::unordered_map<std::uint64_t, EdgeMemo> edge_memo;
     /// >= 0: the session wanted a full re-plan but the planner was down; it
     /// kept serving the incremental repair since this instant. Rebuilt
     /// through the planner when the outage ends.
@@ -421,11 +429,15 @@ class Runtime {
   /// added/removed, pipes spliced to the current overlay, emission paced at
   /// the verified current rate. Called after every session change.
   void sync_execution(int id, Channel& channel);
-  /// Telemetry hook: streams per-edge (lost, window_stall) deltas into the
-  /// shard registry's heavy-hitter tables. Called at every control tick
-  /// and at stream finalize (so control-less runs still attribute).
-  void feed_edge_telemetry(Channel& channel,
-                           const dataplane::Execution& exec);
+  /// Reads the channel's pipes once into frame_, re-keyed to runtime ids,
+  /// and, with the telemetry hook on, streams each edge's (lost,
+  /// window_stalls) deltas past its watermarks into the heavy-hitter
+  /// tables. Called at every control tick and at stream finalize (so
+  /// control-less runs still attribute).
+  void read_frame(Channel& channel);
+  /// Drains the stream's chunk latencies into dataplane.chunk_latency, the
+  /// telemetry sketch and the SLO monitor.
+  void tee_latencies(Channel& channel);
   /// Exports the execution's counter deltas / latencies into dataplane.*.
   void export_dataplane_metrics(int id, Channel& channel);
   /// Lets the stream tail drain, reports, and releases the execution.
@@ -501,10 +513,19 @@ class Runtime {
   std::vector<PendingOpen> pending_opens_;
   double now_ = 0.0;
   double dp_clock_ = 0.0;  ///< time every live execution has reached
-  /// Scratch buffers for the per-tick telemetry sweep
-  /// (feed_edge_telemetry): reused so the steady state allocates nothing.
-  std::vector<dataplane::EdgeStats> edge_stats_scratch_;
-  std::vector<int> rid_of_dp_scratch_;
+  /// One stream's pipes as read at a control tick (or a finalize): every
+  /// consumer of the tick — controller samples, crash-silence activity,
+  /// heavy hitters — reads these rows instead of the execution. Reused
+  /// across ticks and channels, so the steady state allocates nothing.
+  struct Frame {
+    /// Raw cumulative rows in (from, to) execution-id order, with from/to
+    /// re-keyed to runtime ids (rows the channel no longer maps dropped).
+    std::vector<dataplane::EdgeStats> edges;
+    std::vector<int> rid_of_dp;  ///< execution id -> runtime id, -1: none
+    std::vector<double> granted;          ///< per runtime id (tick only)
+    std::vector<std::uint64_t> activity;  ///< per runtime id (tick only)
+  };
+  Frame frame_;
   /// Sampling boundaries processed so far: boundary k + 1 sits at
   /// (k + 1) * sample_interval on the scenario clock (an integer counter,
   /// so the grid never accumulates floating-point drift).

@@ -275,7 +275,8 @@ TEST(Execution, EgressProfileClassesAndEdgeOverride) {
   EXPECT_EQ(clean.losses(), 0u);
   const Execution lossy = run(true, false);
   EXPECT_GT(lossy.losses(), 0u);
-  const std::vector<EdgeStats> stats = lossy.edge_stats();
+  std::vector<EdgeStats> stats;
+  lossy.edge_stats_into(stats);
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].lost, lossy.losses());
   EXPECT_EQ(stats[0].delivered, 60u);

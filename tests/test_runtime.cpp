@@ -2,14 +2,21 @@
 // metrics registry determinism, scenario compilation, event-loop handling,
 // and the acceptance scenario — 3 channels on a 500-node heterogeneous
 // platform replaying deterministically, never oversubscribing a node's
-// multi-port budget, and holding >= 0.85x design throughput through churn.
+// multi-port budget, and holding >= 0.85x design throughput through churn —
+// plus a pin of the control tick's telemetry consumers (controller samples,
+// crash detector, heavy hitters) on a lossy, faulted, blacked-out stream.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bmp/fault/fault.hpp"
+#include "bmp/fault/injector.hpp"
 #include "bmp/flow/maxflow.hpp"
+#include "bmp/obs/rollup.hpp"
 #include "bmp/runtime/capacity_broker.hpp"
 #include "bmp/runtime/metrics.hpp"
 #include "bmp/runtime/runtime.hpp"
@@ -561,6 +568,146 @@ TEST(RuntimeAcceptance, ThreeChannels500NodesDeterministicAndWithinBudget) {
   EXPECT_EQ(first, second);
   EXPECT_EQ(first, runtime.metrics().snapshot().to_string(false));
   EXPECT_NE(first.find("counter repairs.incremental"), std::string::npos);
+}
+
+// ------------------------------------------------ per-tick telemetry frame
+
+// Every control tick reads a stream's pipes once and three consumers share
+// the rows: the controller (blackout-substituted samples), the crash
+// detector (raw activity, blacked-out and partitioned peers paused) and the
+// heavy-hitter tables (raw loss / stall watermark deltas). The benchmark's
+// digest does not cover the telemetry rollup, so its integer outputs are
+// pinned here on a scenario that exercises every rule: a lossy WAN class,
+// a blackout on lossy senders, a crash, and a partition that heals.
+ScenarioScript frame_script() {
+  Scenario scenario(12.0, /*seed=*/31);
+  NodeClassSpec wan{16, 0.6, gen::Dist::kUnif100};
+  wan.wan = true;
+  wan.profile.loss_rate = 0.12;
+  wan.profile.latency = 0.01;
+  scenario.source(400.0)
+      .population({24, 0.5, gen::Dist::kUnif100})
+      .population(wan)
+      .channel({0.0, -1.0, 1.0, 0.5});
+  ScenarioScript script = scenario.build();
+  fault::FaultPlan plan;
+  plan.crashes.push_back({3.0, 7});
+  plan.blackouts.push_back({4.0, 10.0, {22, 25, 26, 27, 28, 29, 30, 31, 32}});
+  fault::PartitionSpec partition;
+  partition.time = 5.0;
+  partition.heal_time = 8.0;
+  partition.group_b = {25, 26, 27, 28, 29, 30, 31, 32};
+  plan.partitions.push_back(partition);
+  fault::Injector::inject(script, plan);
+  return script;
+}
+
+using HotRows = std::vector<std::pair<std::string, std::uint64_t>>;
+
+HotRows top3(const obs::ShardRegistry& reg, const char* table) {
+  HotRows rows;
+  for (const obs::TopKEntry& entry : reg.snapshot().topks.at(table).top(3)) {
+    rows.emplace_back(entry.key, entry.count);
+  }
+  return rows;
+}
+
+struct FrameRun {
+  std::uint64_t samples = 0;
+  std::uint64_t stale_nodes = 0;
+  std::uint64_t stale_edges = 0;
+  std::uint64_t demotions = 0;
+  std::uint64_t crashes_detected = 0;
+  std::vector<double> leave_times;
+  std::size_t control_log = 0;
+  HotRows edge_retransmits;
+  HotRows node_retransmits;
+  HotRows node_stalls;
+};
+
+FrameRun run_frame_scenario(bool control) {
+  const ScenarioScript script = frame_script();
+  obs::ShardRegistry reg;
+  RuntimeConfig config;
+  config.collect_timing = false;
+  config.broker_headroom = 0.05;
+  config.dataplane.execute = true;
+  config.dataplane.execution.chunk_size = 0.25;
+  config.dataplane.execution.receiver_window = 6;
+  config.control.enabled = control;
+  config.control.slo_enabled = control;
+  config.telemetry = &reg;
+  // A two-window crash detector against a four-window straggler detector:
+  // a peer starved by the partition stays silent long enough that reading
+  // its blacked-out parents' frozen samples would evict it — only the raw
+  // rows keep it alive.
+  config.fault.crash_silence_windows = 2;
+  config.control.controller.egress.windows = 4;
+  Runtime rt(config, script.source_bandwidth, script.initial_peers);
+  std::size_t next = 0;
+  for (double t = 1.0; t <= 12.0 + 1e-9; t += 1.0) {
+    while (next < script.events.size() && script.events[next].time <= t) {
+      rt.step(script.events[next++]);
+    }
+    Event marker;
+    marker.type = EventType::kNodeJoin;  // empty: clock only
+    marker.time = t;
+    rt.step(marker);
+  }
+  // Control-less runs attribute heavy hitters only at the stream close-out.
+  if (!control) rt.drain(12.0);
+  EXPECT_TRUE(rt.validate().empty());
+
+  FrameRun run;
+  const MetricsRegistry& metrics = rt.metrics();
+  run.samples = metrics.counter("control.samples");
+  run.stale_nodes = metrics.counter("control.stale_nodes");
+  run.stale_edges = metrics.counter("control.stale_edges");
+  run.demotions = metrics.counter("control.demotions");
+  run.crashes_detected = metrics.counter("fault.crashes_detected");
+  for (const ChurnReport& report : rt.churn_log()) {
+    if (report.type == EventType::kNodeLeave) {
+      run.leave_times.push_back(report.time);
+    }
+  }
+  run.control_log = rt.control_log().size();
+  run.edge_retransmits = top3(reg, "hot.edge_retransmits");
+  run.node_retransmits = top3(reg, "hot.node_retransmits");
+  run.node_stalls = top3(reg, "hot.node_stalls");
+  return run;
+}
+
+// Feeding the crash detector or the heavy hitters the blackout-frozen
+// rows, or the controller the raw ones, moves these values.
+TEST(RuntimeTelemetry, TickFrameOutputsArePinned) {
+  const FrameRun run = run_frame_scenario(true);
+  EXPECT_EQ(run.samples, 24u);
+  EXPECT_EQ(run.stale_nodes, 51u);
+  EXPECT_EQ(run.stale_edges, 143u);
+  EXPECT_EQ(run.demotions, 33u);
+  EXPECT_EQ(run.crashes_detected, 1u);
+  EXPECT_EQ(run.leave_times, std::vector<double>{5.0});
+  EXPECT_EQ(run.control_log, 17u);
+  EXPECT_EQ(run.edge_retransmits,
+            (HotRows{{"edge:25->15", 398}, {"edge:29->1", 375},
+                     {"edge:5->29", 340}}));
+  EXPECT_EQ(run.node_retransmits,
+            (HotRows{{"node:0", 661}, {"node:25", 519}, {"node:29", 481}}));
+  EXPECT_EQ(run.node_stalls,
+            (HotRows{{"node:33", 707}, {"node:29", 539}, {"node:24", 528}}));
+
+  // Without the control plane nothing ticks: the crash departs at once and
+  // the heavy hitters are attributed by the close-out read at drain.
+  const FrameRun drained = run_frame_scenario(false);
+  EXPECT_EQ(drained.samples, 0u);
+  EXPECT_EQ(drained.leave_times, std::vector<double>{3.0});
+  EXPECT_EQ(drained.edge_retransmits,
+            (HotRows{{"edge:25->15", 566}, {"edge:26->20", 473},
+                     {"edge:29->1", 448}}));
+  EXPECT_EQ(drained.node_retransmits,
+            (HotRows{{"node:0", 708}, {"node:25", 602}, {"node:29", 600}}));
+  EXPECT_EQ(drained.node_stalls,
+            (HotRows{{"node:27", 839}, {"node:24", 754}, {"node:33", 605}}));
 }
 
 }  // namespace

@@ -16,11 +16,15 @@
 //                  back into obs_query to continue a hierarchy offline)
 //   --prometheus   the merged rollup in Prometheus exposition format
 //   --out          also write the lossless merged snapshot to FILE
-// Exit codes: 0 ok, 1 usage, 2 unreadable/malformed input, 3 a query named
-// a series the rollup does not carry.
+// Q must be a finite number in [0, 1] and K an integer >= 1, each the
+// whole token after the last ':'; anything else (and an unknown flag) is a
+// usage error. Exit codes: 0 ok, 1 usage, 2 unreadable/malformed input, 3 a
+// query named a series the rollup does not carry.
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -36,6 +40,28 @@ int usage() {
   std::cerr << "usage: obs_query <shard.json>... [--quantile NAME:Q]..."
                " [--top NAME[:K]]... [--json] [--prometheus] [--out FILE]\n";
   return 1;
+}
+
+// Whole-token numbers: "0.5abc", " 2", "" and out-of-range values fail.
+bool parse_double(const std::string& text, double& out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtod(text.c_str(), &end);
+  return errno == 0 && end == text.c_str() + text.size();
+}
+
+bool parse_count(const std::string& text, std::size_t& out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  out = static_cast<std::size_t>(value);
+  return errno == 0 && end == text.c_str() + text.size() && value >= 1;
 }
 
 }  // namespace
@@ -60,19 +86,24 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) return usage();
       const std::string spec = argv[++i];
       const std::size_t colon = spec.rfind(':');
-      if (colon == std::string::npos) return usage();
-      quantiles.emplace_back(spec.substr(0, colon),
-                             std::atof(spec.c_str() + colon + 1));
+      double q = 0.0;
+      if (colon == std::string::npos ||
+          !parse_double(spec.substr(colon + 1), q) || !std::isfinite(q) ||
+          q < 0.0 || q > 1.0) {
+        return usage();
+      }
+      quantiles.emplace_back(spec.substr(0, colon), q);
     } else if (arg == "--top") {
       if (i + 1 >= argc) return usage();
       const std::string spec = argv[++i];
       const std::size_t colon = spec.rfind(':');
+      std::size_t k = 0;
       if (colon == std::string::npos) {
         tops.emplace_back(spec, 0);
+      } else if (parse_count(spec.substr(colon + 1), k)) {
+        tops.emplace_back(spec.substr(0, colon), k);
       } else {
-        tops.emplace_back(spec.substr(0, colon),
-                          static_cast<std::size_t>(
-                              std::atoll(spec.c_str() + colon + 1)));
+        return usage();
       }
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
