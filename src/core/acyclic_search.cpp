@@ -36,6 +36,10 @@ SearchResult search(const Instance& instance, GreedyPolicy policy, int iters) {
   bool has_best = greedy_test_into(instance, lo, best, policy, tie_tol);
   for (int k = 0; k < iters; ++k) {
     const double mid = 0.5 * (lo + hi);
+    // Fixed point: lo and hi are adjacent doubles (or equal), so mid
+    // repeats a probe already made. GreedyTest is deterministic, so every
+    // later iteration would leave lo, best and has_best unchanged.
+    if (mid == lo || mid == hi) break;
     if (greedy_test_into(instance, mid, probe, policy, tie_tol)) {
       lo = mid;
       std::swap(best, probe);

@@ -11,7 +11,9 @@
 
 namespace bmp {
 
-/// T*_ac by bisection; `iters` halvings (default reaches double precision).
+/// T*_ac by bisection; at most `iters` halvings. The search stops early
+/// once the bracket cannot shrink (adjacent doubles, ~54 halvings), so any
+/// cap >= that returns the same bits as an unbounded search.
 /// Also works for open-only instances (where it equals the closed form).
 double optimal_acyclic_throughput(const Instance& instance,
                                   GreedyPolicy policy = GreedyPolicy::kPaper,

@@ -64,6 +64,14 @@ double BroadcastScheme::in_rate(int i) const {
   return sum;
 }
 
+std::vector<double> BroadcastScheme::in_rates() const {
+  std::vector<double> in(out_.size(), 0.0);
+  for (const auto& edges : out_) {
+    for (const auto& [to, r] : edges) in[static_cast<std::size_t>(to)] += r;
+  }
+  return in;
+}
+
 int BroadcastScheme::out_degree(int i) const {
   return static_cast<int>(out_edges(i).size());
 }
@@ -150,10 +158,7 @@ std::vector<std::string> BroadcastScheme::validate(const Instance& instance,
 }
 
 double BroadcastScheme::max_inflow_deviation(double T) const {
-  std::vector<double> in(static_cast<std::size_t>(num_nodes()), 0.0);
-  for (const auto& edges : out_) {
-    for (const auto& [to, r] : edges) in[static_cast<std::size_t>(to)] += r;
-  }
+  const std::vector<double> in = in_rates();
   double worst = 0.0;
   for (int i = 1; i < num_nodes(); ++i) {
     worst = std::max(worst, std::abs(in[static_cast<std::size_t>(i)] - T));

@@ -34,9 +34,16 @@ class BroadcastScheme {
   [[nodiscard]] const std::map<int, double>& out_edges(int i) const;
 
   [[nodiscard]] double out_rate(int i) const;
+  /// in_rate(i) and in_degree(i) scan every node's out-edges: O(E) per
+  /// call. Fine for tests and one-off queries; loops over all nodes use
+  /// in_rates() instead.
   [[nodiscard]] double in_rate(int i) const;
   [[nodiscard]] int out_degree(int i) const;
   [[nodiscard]] int in_degree(int i) const;
+  /// Every node's in_rate in one O(E) sweep. Senders are visited in
+  /// ascending order, so in_rates()[i] adds the same terms in the same
+  /// order as in_rate(i) — the sums are bit-identical.
+  [[nodiscard]] std::vector<double> in_rates() const;
   [[nodiscard]] int max_out_degree() const;
   [[nodiscard]] int edge_count() const;
   /// Sum of all edge rates (total traffic).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -11,6 +12,58 @@
 #include "bmp/sim/churn.hpp"
 
 namespace bmp::engine {
+
+namespace {
+
+/// Depth-first reachability over a scheme with scratch reused across
+/// calls: a node is visited iff its stamp equals the current sweep's, so a
+/// sweep costs only the part of the overlay it explores.
+class ReachScratch {
+ public:
+  explicit ReachScratch(int num_nodes)
+      : stamp_of_(static_cast<std::size_t>(num_nodes), 0) {}
+
+  /// True iff `to` is reachable from `from` (a node reaches itself).
+  bool reaches(const BroadcastScheme& scheme, int from, int to) {
+    return from == to || sweep(scheme, from, to);
+  }
+
+  /// Marks `from` and every node reachable from it; marked() answers
+  /// until the next call.
+  void mark_reachable(const BroadcastScheme& scheme, int from) {
+    sweep(scheme, from, -1);
+  }
+  [[nodiscard]] bool marked(int v) const {
+    return stamp_of_[static_cast<std::size_t>(v)] == stamp_;
+  }
+
+ private:
+  /// Visits nodes reachable from `from`; stops early once `stop_at` shows.
+  bool sweep(const BroadcastScheme& scheme, int from, int stop_at) {
+    ++stamp_;
+    stamp_of_[static_cast<std::size_t>(from)] = stamp_;
+    stack_.assign(1, from);
+    while (!stack_.empty()) {
+      const int v = stack_.back();
+      stack_.pop_back();
+      for (const auto& [next, rate] : scheme.out_edges(v)) {
+        (void)rate;
+        if (next == stop_at) return true;
+        if (stamp_of_[static_cast<std::size_t>(next)] != stamp_) {
+          stamp_of_[static_cast<std::size_t>(next)] = stamp_;
+          stack_.push_back(next);
+        }
+      }
+    }
+    return false;
+  }
+
+  std::vector<std::uint64_t> stamp_of_;
+  std::uint64_t stamp_ = 0;
+  std::vector<int> stack_;
+};
+
+}  // namespace
 
 RepairResult repair_scheme(const Instance& survivors,
                            const BroadcastScheme& restricted,
@@ -24,7 +77,7 @@ RepairResult repair_scheme(const Instance& survivors,
   if (restricted.num_nodes() != survivors.size()) {
     throw std::invalid_argument("repair_scheme: instance/scheme size mismatch");
   }
-  RepairResult result{restricted, 0.0, 0.0};
+  RepairResult result{restricted, 0.0, 0.0, {}};
   BroadcastScheme& scheme = result.scheme;
   const int num_nodes = scheme.num_nodes();
   if (scheme.is_acyclic() && target_rate > 0.0 && num_nodes > 1) {
@@ -37,13 +90,11 @@ RepairResult repair_scheme(const Instance& survivors,
     // all its in-edges crossing it, so min-cut(0 -> j) >= tau. The final
     // rate is re-verified by max-flow below either way.
     std::vector<double> out(static_cast<std::size_t>(num_nodes), 0.0);
-    std::vector<double> in(static_cast<std::size_t>(num_nodes), 0.0);
     for (int i = 0; i < num_nodes; ++i) {
       out[static_cast<std::size_t>(i)] = scheme.out_rate(i);
-      in[static_cast<std::size_t>(i)] = scheme.in_rate(i);
     }
-    std::vector<char> blocked(static_cast<std::size_t>(num_nodes), 0);
-    std::vector<int> stack;
+    std::vector<double> in = scheme.in_rates();
+    ReachScratch reach(num_nodes);
     // Conservative sender preference (the paper's Lemma 4.3 principle):
     // guarded upload cannot reach guarded receivers, so open receivers
     // drain guarded senders first, keeping source + open upload for the
@@ -83,6 +134,7 @@ RepairResult repair_scheme(const Instance& survivors,
       scheme.add(sender, to, -rate);
       out[static_cast<std::size_t>(sender)] -= rate;
       in[static_cast<std::size_t>(to)] -= rate;
+      ++result.counts.dust_dropped;
     }
     // Trim pass: when repairing toward a *reduced* target, survivors still
     // fed at the old (higher) design rate hold upload hostage. Cut their
@@ -91,50 +143,43 @@ RepairResult repair_scheme(const Instance& survivors,
     // cut the *smallest* edges first: the receiver's main arteries survive
     // repeated repairs untouched (a live stream keeps its in-flight pipes)
     // and residue trickle edges are garbage-collected before real ones.
-    std::vector<std::pair<double, int>> cuttable;
-    for (int receiver = 1; receiver < num_nodes; ++receiver) {
-      double excess = in[static_cast<std::size_t>(receiver)] - target_rate;
-      if (excess <= tol) continue;
-      for (int cls = 0; cls < 2 && excess > tol; ++cls) {
-        cuttable.clear();
-        for (int sender = 0; sender < num_nodes; ++sender) {
-          const bool sender_guarded = survivors.is_guarded(sender);
-          if ((cls == 0) == sender_guarded) continue;  // open first, then guarded
-          const double rate = scheme.rate(sender, receiver);
-          if (rate > tol) cuttable.emplace_back(rate, sender);
-        }
-        std::sort(cuttable.begin(), cuttable.end());
-        for (const auto& [rate, sender] : cuttable) {
-          if (excess <= tol) break;
-          const double cut = std::min(excess, rate);
-          scheme.add(sender, receiver, -cut);
-          out[static_cast<std::size_t>(sender)] -= cut;
-          in[static_cast<std::size_t>(receiver)] -= cut;
-          excess -= cut;
+    // Trimming a receiver only touches edges into it, so one sweep lists
+    // every candidate cut up front, sorted into the order above: receivers
+    // ascending, open senders before guarded ones, smallest edges first.
+    std::vector<std::tuple<int, bool, double, int>> cuts;
+    for (int sender = 0; sender < num_nodes; ++sender) {
+      const bool sender_guarded = survivors.is_guarded(sender);
+      for (const auto& [to, rate] : scheme.out_edges(sender)) {
+        if (to != 0 && rate > tol &&
+            in[static_cast<std::size_t>(to)] - target_rate > tol) {
+          cuts.emplace_back(to, sender_guarded, rate, sender);
         }
       }
+    }
+    std::sort(cuts.begin(), cuts.end());
+    int trimmed = -1;
+    double excess = 0.0;
+    for (const auto& [receiver, sender_guarded, rate, sender] : cuts) {
+      if (receiver != trimmed) {
+        trimmed = receiver;
+        excess = in[static_cast<std::size_t>(receiver)] - target_rate;
+      }
+      if (excess <= tol) continue;
+      const double cut = std::min(excess, rate);
+      scheme.add(sender, receiver, -cut);
+      out[static_cast<std::size_t>(sender)] -= cut;
+      in[static_cast<std::size_t>(receiver)] -= cut;
+      excess -= cut;
+      ++result.counts.trim_cuts;
     }
     for (const int receiver : receivers) {
       double deficit = target_rate - in[static_cast<std::size_t>(receiver)];
       if (deficit <= tol) continue;
       // Senders reachable *from* the receiver would close a cycle.
-      std::fill(blocked.begin(), blocked.end(), 0);
-      blocked[static_cast<std::size_t>(receiver)] = 1;
-      stack.assign(1, receiver);
-      while (!stack.empty()) {
-        const int v = stack.back();
-        stack.pop_back();
-        for (const auto& [to, rate] : scheme.out_edges(v)) {
-          (void)rate;
-          if (!blocked[static_cast<std::size_t>(to)]) {
-            blocked[static_cast<std::size_t>(to)] = 1;
-            stack.push_back(to);
-          }
-        }
-      }
+      reach.mark_reachable(scheme, receiver);
       for (const int sender : sender_order) {
         if (deficit <= tol) break;
-        if (blocked[static_cast<std::size_t>(sender)]) continue;
+        if (reach.marked(sender)) continue;
         if (survivors.is_guarded(sender) && survivors.is_guarded(receiver)) {
           continue;
         }
@@ -147,6 +192,7 @@ RepairResult repair_scheme(const Instance& survivors,
         in[static_cast<std::size_t>(receiver)] += take;
         result.added_rate += take;
         deficit -= take;
+        ++result.counts.patch_adds;
       }
     }
     // Reroute pass for guarded receivers the direct patch could not fill:
@@ -155,6 +201,9 @@ RepairResult repair_scheme(const Instance& survivors,
     // (guarded g takes the open receiver x, open sender s turns to the
     // guarded receiver) — the conservative exchange of Lemma 4.3. Each
     // swap is applied tentatively and reverted if it would close a cycle.
+    // The overlay is a DAG before the swap, so a new cycle must run
+    // through one of the two added edges g->x or s->receiver: checking
+    // x ~> g and receiver ~> s gives the full acyclicity verdict.
     for (const int receiver : receivers) {
       if (!survivors.is_guarded(receiver)) break;  // guardeds lead the list
       double deficit = target_rate - in[static_cast<std::size_t>(receiver)];
@@ -178,10 +227,12 @@ RepairResult repair_scheme(const Instance& survivors,
             scheme.add(g, x, delta);
             scheme.add(s, x, -delta);
             scheme.add(s, receiver, delta);
-            if (!scheme.is_acyclic()) {
+            if (reach.reaches(scheme, x, g) ||
+                reach.reaches(scheme, receiver, s)) {
               scheme.add(s, receiver, -delta);
               scheme.add(s, x, delta);
               scheme.add(g, x, -delta);
+              ++result.counts.reroutes_reverted;
               continue;
             }
             out[static_cast<std::size_t>(g)] += delta;
@@ -189,6 +240,7 @@ RepairResult repair_scheme(const Instance& survivors,
             result.added_rate += delta;
             deficit -= delta;
             movable -= delta;
+            ++result.counts.reroutes_kept;
           }
         }
       }

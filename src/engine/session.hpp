@@ -24,16 +24,27 @@ class TraceSink;
 
 namespace bmp::engine {
 
+/// What each pass of repair_scheme did (diagnostics and tests).
+struct RepairCounts {
+  int dust_dropped = 0;       ///< edges under 2% of the target removed
+  int trim_cuts = 0;          ///< edge cuts toward a reduced target
+  int patch_adds = 0;         ///< direct sender -> receiver additions
+  int reroutes_kept = 0;      ///< Lemma 4.3 swaps applied
+  int reroutes_reverted = 0;  ///< swaps undone because they closed a cycle
+};
+
 struct RepairResult {
   BroadcastScheme scheme;
   double throughput = 0.0;  ///< verified (min max-flow) after patching
   double added_rate = 0.0;  ///< total edge rate the patch added
+  RepairCounts counts{};
 };
 
-/// Incremental repair of a restricted overlay: processes survivors in
-/// topological order and pulls each node's inflow deficit (w.r.t.
-/// `target_rate`) from already fully-fed earlier nodes with residual
-/// upload, honoring bandwidth caps and the firewall constraint. Node k of
+/// Incremental repair of a restricted overlay toward `target_rate`: drops
+/// dust edges, trims nodes fed above the target, pulls each node's inflow
+/// deficit from non-descendant senders with residual upload, and reroutes
+/// open upload to starved guarded nodes, honoring bandwidth caps, the
+/// firewall constraint and acyclicity. Node k of
 /// `restricted` must be node k of `survivors` (the numbering produced by
 /// sim::remove_nodes + sim::restrict_scheme). Cyclic overlays are returned
 /// unpatched (their throughput is still measured).

@@ -190,26 +190,44 @@ bool parse_lineage_json(const std::string& text, std::vector<HopRecord>& hops,
   std::size_t pos = header_end;
   if (pos == std::string::npos) return false;
   pos += 8;
-  while (true) {
-    const std::size_t line_start = text.find('{', pos);
-    const std::size_t array_end = text.find(']', pos);
-    if (line_start == std::string::npos || array_end < line_start) break;
-    HopRecord hop;
-    int hol = 0;
-    int overtake = 0;
-    const int got = std::sscanf(
-        text.c_str() + line_start,
+  // One linear pass. The first ']' at or after pos is looked up again only
+  // once pos has moved past it, and each hop is scanned from a copy of its
+  // own line: sscanf on the dump itself would strlen the rest of the dump
+  // for every hop.
+  std::size_t array_end = text.find(']', pos);
+  std::string line;
+  const auto scan_hop = [](const char* at, HopRecord& hop, int& hol,
+                           int& overtake) {
+    return std::sscanf(
+        at,
         "{\"chunk\":%d,\"from\":%d,\"to\":%d,\"channel\":%d,"
         "\"enqueue\":%lf,\"start\":%lf,\"finish\":%lf,"
         "\"retransmits\":%d,\"loss_time\":%lf,\"hol\":%d,\"overtake\":%d}",
         &hop.chunk, &hop.from, &hop.to, &hop.channel, &hop.enqueue,
         &hop.start, &hop.finish, &hop.retransmits, &hop.loss_time, &hol,
         &overtake);
+  };
+  while (true) {
+    const std::size_t line_start = text.find('{', pos);
+    if (array_end < pos) array_end = text.find(']', pos);
+    if (line_start == std::string::npos || array_end < line_start) break;
+    const std::size_t line_end = text.find('\n', line_start);
+    line.assign(text, line_start, line_end - line_start);  // npos: the rest
+    HopRecord hop;
+    int hol = 0;
+    int overtake = 0;
+    int got = scan_hop(line.c_str(), hop, hol, overtake);
+    if (got != 11 && line_end != std::string::npos) {
+      // The writer puts one hop per line, but sscanf skips any whitespace,
+      // newlines included, before a number: a hop split across lines
+      // still loads, from the unbounded text.
+      got = scan_hop(text.c_str() + line_start, hop, hol, overtake);
+    }
     if (got != 11) return false;
     hop.hol_stalled = hol != 0;
     hop.overtake = overtake != 0;
     hops.push_back(hop);
-    pos = text.find('\n', line_start);
+    pos = line_end;
     if (pos == std::string::npos) break;
   }
   return true;

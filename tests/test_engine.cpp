@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <numeric>
 #include <vector>
 
 #include "bmp/core/acyclic_search.hpp"
@@ -531,6 +535,214 @@ TEST(RepairScheme, TrimMakesReducedTargetsFeasible) {
   }
   // One small departure should nearly always be absorbable at 90%.
   EXPECT_GE(repaired_to_target, 6);
+}
+
+// ------------------------------------------------------ pinned repair sweep
+
+/// A random acyclic plan on `platform`: peers join in a random order after
+/// the source, and each draws 1-3 in-edges from earlier nodes (never
+/// guarded -> guarded) at rates from dust (under 2% of `rate`) up to
+/// 0.9 `rate`, capped by the sender's spare upload. Inflows land above and
+/// below `rate`, so every repair pass has work.
+BroadcastScheme random_acyclic_plan(const Instance& platform, double rate,
+                                    bmp::util::Xoshiro256& rng) {
+  const int size = platform.size();
+  std::vector<int> order(static_cast<std::size_t>(size));
+  std::iota(order.begin(), order.end(), 0);
+  for (int k = size - 1; k > 1; --k) {
+    const int j = 1 + static_cast<int>(rng.below(static_cast<std::uint64_t>(k)));
+    std::swap(order[static_cast<std::size_t>(k)],
+              order[static_cast<std::size_t>(j)]);
+  }
+  std::vector<double> spare(static_cast<std::size_t>(size));
+  for (int i = 0; i < size; ++i) spare[static_cast<std::size_t>(i)] = platform.b(i);
+  BroadcastScheme plan(size);
+  for (int k = 1; k < size; ++k) {
+    const int to = order[static_cast<std::size_t>(k)];
+    const int edges = 1 + static_cast<int>(rng.below(3));
+    for (int e = 0; e < edges; ++e) {
+      const int from = order[static_cast<std::size_t>(
+          rng.below(static_cast<std::uint64_t>(k)))];
+      const double want = rng.below(4) == 0 ? rng.uniform(0.002, 0.02) * rate
+                                            : rng.uniform(0.1, 0.9) * rate;
+      const double take = std::min(want, spare[static_cast<std::size_t>(from)]);
+      if ((platform.is_guarded(from) && platform.is_guarded(to)) ||
+          take <= 1e-6 * rate) {
+        continue;
+      }
+      plan.add(from, to, take);
+      spare[static_cast<std::size_t>(from)] -= take;
+    }
+  }
+  return plan;
+}
+
+struct SweepCase {
+  Instance survivors;
+  BroadcastScheme restricted;
+  double design_rate;
+};
+
+/// Seeded churn sweep over random mixed open/guarded platforms: even cases
+/// start from the §IV plan (solve_acyclic), odd ones from a random acyclic
+/// plan at the platform's acyclic optimum; then 1-3 random departures.
+std::vector<SweepCase> repair_sweep_cases() {
+  bmp::util::Xoshiro256 rng(0xBEEF);
+  std::vector<SweepCase> cases;
+  for (int c = 0; c < 24; ++c) {
+    const int n = 3 + static_cast<int>(rng.below(10));
+    const int m = 2 + static_cast<int>(rng.below(8));
+    const Instance platform = bmp::testing::random_instance(rng, n, m);
+    const AcyclicSolution solution = solve_acyclic(platform);
+    const double design = solution.throughput;
+    const BroadcastScheme plan =
+        c % 2 == 0 ? solution.scheme
+                   : random_acyclic_plan(platform, design, rng);
+    std::vector<int> departed =
+        sim::sample_departures(n + m, 1 + rng.below(3), rng);
+    std::sort(departed.begin(), departed.end());
+    cases.push_back({sim::remove_nodes(platform, departed),
+                     sim::restrict_scheme(plan, departed), design});
+  }
+  return cases;
+}
+
+/// FNV-1a over the edge list in (from, to) order, rates bit for bit.
+std::uint64_t edge_hash(const BroadcastScheme& scheme) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  };
+  for (int from = 0; from < scheme.num_nodes(); ++from) {
+    for (const auto& [to, rate] : scheme.out_edges(from)) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &rate, sizeof bits);
+      mix(static_cast<std::uint64_t>(from));
+      mix(static_cast<std::uint64_t>(to));
+      mix(bits);
+    }
+  }
+  return h;
+}
+
+struct PinnedRepair {
+  std::uint64_t edges;
+  double throughput;
+  double added_rate;
+};
+
+// Recorded from the O(n^2) repair (per-node in_rate scans, full
+// topological re-sort per tentative swap); the linear-time repair must
+// reproduce every bit. One row per (case, target) in sweep order.
+constexpr PinnedRepair kPinnedRepairs[] = {
+    {0x7aadd880ccc7b595ull, 4.8034932113464546, 7.6691913063526176},
+    {0xe14e0b100fb2bccfull, 4.5633185508352714, 6.8669819459267387},
+    {0x502fe4fec53ad187ull, 4.3231438902649941, 6.146457964215907},
+    {0x516e8a9e7c88f920ull, 2.1477462836832952, 22.003713167205333},
+    {0x8f7cc247b8325352ull, 2.1477462836832952, 20.188456223557331},
+    {0x347ce0bdbdbe4e71ull, 2.1477462836832952, 18.244283385881708},
+    {0xee1cbd1d7f3b4342ull, 4.809200853629739, 0},
+    {0xf1e52a8dcbf920c5ull, 4.5687408109482517, 0},
+    {0x16fbc9b3c38344f2ull, 4.3282807682667652, 0},
+    {0xf2a7a189bccd2b70ull, 3.5003870254541667, 30.790025866008914},
+    {0x94cd50f8971ef0feull, 3.7943603546799238, 30.496052536783157},
+    {0x3c4ed87d2e29c1ccull, 4.3281807570712916, 29.72194200888881},
+    {0x82272f4d263c9472ull, 4.7598268541045012, 7.8609026857877407},
+    {0x217315ac8da4ee41ull, 4.5218355113992761, 7.1469286576720652},
+    {0x584bb026bb8c128eull, 4.2838441686940509, 6.575105108478823},
+    {0x065fde348fac87c9ull, 1.0227968579186053, 16.489643178467077},
+    {0x241a2f4bde4c0a79ull, 1.4064695909240263, 15.837900900400152},
+    {0x89ebccd13afe5c71ull, 1.4434972077740467, 15.26239180089202},
+    {0x9699a6e722b4f10bull, 4.8041238991627235, 6.5761559383958446},
+    {0x7a3c9424f4cd5aa7ull, 5.0443161162358496, 6.2853675116546697},
+    {0x8800a9a4c47766c5ull, 4.7788257943287, 5.4888965459332217},
+    {0x0e60e969a745aa0dull, 0, 4.28584604603091},
+    {0x490c8f1608a40650ull, 0, 3.6029255936276461},
+    {0x458441a9158a2e1full, 4.097522714419588, 7.1500855156842551},
+    {0x52a175cd4baafc46ull, 3.086878674599812, 12.730259155140844},
+    {0x59f89b0593eec0abull, 2.9325347408698215, 11.958539486490892},
+    {0x05ab0e1c72d54f94ull, 2.7781908071398309, 11.186819817840938},
+    {0xc857b1fd3f190758ull, 0, 17.665410317927709},
+    {0xa61c639a9ad250dfull, 0.089148643607099315, 23.083753071607614},
+    {0x3c0ce2c473e0c928ull, 0.089148643607099315, 21.467381726795299},
+    {0xe045c8bff70f184aull, 0.82689390681056274, 4.7778221674198065},
+    {0xdc353437e669d8d6ull, 4.4055122704226006, 7.9841306340346385},
+    {0x71b09c6c1fcd86eaull, 4.1736432035582531, 7.5203925003059435},
+    {0x2247bc9edb2ca202ull, 0, 3.2242151467148168},
+    {0x4420ab08107350fdull, 0, 2.9547982865037041},
+    {0x7b013403609d646eull, 1.2123758709500059, 3.9392117280833157},
+    {0x81a9e3616cd62877ull, 5.0602480190911265, 14.776662872054967},
+    {0xd5b09da69b313ce6ull, 5.572520245484216, 13.726999029938913},
+    {0x98bac35f343d7e21ull, 5.2792297062482065, 11.967255794522849},
+    {0xe610dbe477cb00aeull, 0, 12.57704731915665},
+    {0xdaa2b97c4c6c9e16ull, 0, 11.94578941526596},
+    {0x4279c598932d9145ull, 0, 11.034717269081433},
+    {0xce1b6c86d6ff6f57ull, 4.6628814099979605, 12.429232177335155},
+    {0xbfe9ad70b6e3a719ull, 4.4297373395787369, 11.263511824814437},
+    {0xb9a2aeb7a9725344ull, 4.1965932690745928, 10.154116836622293},
+    {0xfdaa2ffc5ecf7468ull, 0.17452429889756624, 3.1620363349446237},
+    {0xc62c2a2b4af7f634ull, 0.17452429889756624, 2.8352374897183146},
+    {0x736a27cc594f7b58ull, 0.17452429889756624, 2.5084386444920055},
+    {0x045d561b60c321d8ull, 5.37027958302264, 5.0238621250946602},
+    {0xcc2194dba421edf2ull, 5.1017656039438641, 4.3836964578537412},
+    {0x84e03477ff186e26ull, 4.8332516247889243, 3.747218461101677},
+    {0xa2ea85b7b2207eb0ull, 0, 19.996344989448456},
+    {0x0449a8ff83648041ull, 0, 19.719298985664629},
+    {0x4fe5ee8fc7ea5743ull, 0, 19.442252981880813},
+    {0x8589ae33aa60a917ull, 2.1498743884241147, 0},
+    {0x0bdce7778c6549a7ull, 2.0423806690029118, 0},
+    {0x5b73563a8e4e0357ull, 1.934886949581706, 0},
+    {0xad88c329bdf28979ull, 0.13381751070940995, 4.5129454723366402},
+    {0xa3b6fb77ff707f0eull, 0.18409809444746339, 4.1921103946976537},
+    {0x98811e594d007b7eull, 0.23437867818551672, 3.8904268922693337},
+    {0xb974399743cc2882ull, 0.68808770516679574, 0},
+    {0x41c1e7c4d4608690ull, 0.65368331990845596, 0},
+    {0xdf87b35e12b2531aull, 0.61927893465011619, 0},
+    {0x4b44de63c905b02cull, 0, 14.451843511345956},
+    {0xaead6d8b6f7d7b32ull, 0, 13.788097186478396},
+    {0x6cff52ef03c2e646ull, 0, 13.063442764525053},
+    {0x941db210f590323cull, 2.1163315815448613, 5.6696786081470369},
+    {0x3eeb8a38dec09dadull, 2.0105150024676184, 5.246412291838066},
+    {0x2f264c868d885960ull, 1.9046984233903752, 4.8231459755290933},
+    {0xa4d5af2b6afc217full, 3.1644387627472481, 21.141283123699203},
+    {0xd30f54b24910eeb0ull, 3.0062168246098855, 19.559063742325577},
+    {0x58036847373160e6ull, 2.8479948864725233, 17.976844360951954},
+};
+
+TEST(RepairScheme, SweepOutputsArePinned) {
+  const std::vector<SweepCase> cases = repair_sweep_cases();
+  const double ladder[] = {1.0, 0.95, 0.9};
+  RepairCounts seen;
+  std::size_t row = 0;
+  for (const SweepCase& sweep : cases) {
+    for (const double fraction : ladder) {
+      const RepairResult repair = repair_scheme(
+          sweep.survivors, sweep.restricted, fraction * sweep.design_rate);
+      ASSERT_LT(row, std::size(kPinnedRepairs));
+      const PinnedRepair& pinned = kPinnedRepairs[row];
+      EXPECT_EQ(edge_hash(repair.scheme), pinned.edges) << "row " << row;
+      EXPECT_EQ(repair.throughput, pinned.throughput) << "row " << row;
+      EXPECT_EQ(repair.added_rate, pinned.added_rate) << "row " << row;
+      EXPECT_TRUE(repair.scheme.validate(sweep.survivors).empty());
+      EXPECT_TRUE(repair.scheme.is_acyclic());
+      seen.dust_dropped += repair.counts.dust_dropped;
+      seen.trim_cuts += repair.counts.trim_cuts;
+      seen.patch_adds += repair.counts.patch_adds;
+      seen.reroutes_kept += repair.counts.reroutes_kept;
+      seen.reroutes_reverted += repair.counts.reroutes_reverted;
+      ++row;
+    }
+  }
+  EXPECT_EQ(row, std::size(kPinnedRepairs));
+  // The sweep must drive every branch the pins are meant to guard.
+  EXPECT_GT(seen.dust_dropped, 0);
+  EXPECT_GT(seen.trim_cuts, 0);
+  EXPECT_GT(seen.patch_adds, 0);
+  EXPECT_GT(seen.reroutes_kept, 0);
+  EXPECT_GT(seen.reroutes_reverted, 0);
 }
 
 }  // namespace

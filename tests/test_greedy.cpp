@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "bmp/core/acyclic_search.hpp"
 #include "bmp/core/bounds.hpp"
 #include "bmp/core/exact.hpp"
 #include "bmp/core/greedy_test.hpp"
 #include "bmp/core/word_throughput.hpp"
+#include "bmp/theory/instances.hpp"
 #include "test_helpers.hpp"
 
 namespace bmp {
@@ -214,6 +217,59 @@ TEST(SolveAcyclic, ReturnsConsistentBundle) {
   EXPECT_TRUE(sol.scheme.validate(inst).empty());
   EXPECT_TRUE(sol.scheme.is_acyclic());
   EXPECT_LE(sol.scheme.max_inflow_deviation(sol.throughput), 1e-6);
+}
+
+// The dichotomic search stops once lo and hi are adjacent doubles: from
+// there every probe repeats an earlier one, so a cap of 100 halvings must
+// return exactly what 2000 do.
+TEST(AcyclicSearch, EarlyStopIsTheFullBisection) {
+  util::Xoshiro256 rng(1407);
+  std::vector<Instance> instances;
+  for (int rep = 0; rep < 12; ++rep) {
+    instances.push_back(testing::random_instance(
+        rng, 1 + static_cast<int>(rng.below(8)),
+        static_cast<int>(rng.below(8))));
+  }
+  for (int n = 2; n <= 16; n += 7) {
+    for (int m = 1; m <= 12; m += 4) {
+      for (int d = 0; d <= 4; ++d) {
+        instances.push_back(theory::tight_homogeneous(n, m, n * d / 4.0));
+      }
+    }
+  }
+  for (int rep = 0; rep < 12; ++rep) {  // guarded-heavy: few small opens
+    std::vector<double> open(static_cast<std::size_t>(rng.below(3)));
+    for (double& b : open) b = rng.uniform(0.5, 3.0);
+    std::vector<double> guarded(static_cast<std::size_t>(4 + rng.below(10)));
+    for (double& b : guarded) b = rng.uniform(1.0, 10.0);
+    instances.emplace_back(rng.uniform(0.5, 4.0), open, guarded);
+  }
+  int bisected = 0;
+  for (const Instance& inst : instances) {
+    const AcyclicSolution capped = solve_acyclic(inst, 100);
+    const AcyclicSolution full = solve_acyclic(inst, 2000);
+    EXPECT_EQ(std::memcmp(&capped.throughput, &full.throughput,
+                          sizeof(double)),
+              0)
+        << capped.throughput << " vs " << full.throughput;
+    EXPECT_EQ(to_string(capped.word), to_string(full.word));
+    if (capped.throughput < cyclic_upper_bound(inst)) ++bisected;
+  }
+  // Most instances must actually bisect (the upper-bound probe fails).
+  EXPECT_GE(bisected, static_cast<int>(instances.size()) / 2);
+
+  // Values of the search without the early stop: the converged optimum,
+  // and a cap below the fixed point, which still bounds the search.
+  const Instance fig1 = testing::fig1_instance();
+  const Instance tight = theory::tight_homogeneous(16, 12, 14);
+  EXPECT_EQ(solve_acyclic(fig1).throughput, 4.0000000000054996);
+  EXPECT_EQ(solve_acyclic(tight).throughput, 0.988095238096238);
+  const AcyclicSolution fig1_coarse = solve_acyclic(fig1, 8);
+  EXPECT_EQ(fig1_coarse.throughput, 3.9875000000000003);
+  EXPECT_EQ(to_string(fig1_coarse.word), "GOGOG");
+  const AcyclicSolution tight_coarse = solve_acyclic(tight, 8);
+  EXPECT_EQ(tight_coarse.throughput, 0.984375);
+  EXPECT_EQ(to_string(tight_coarse.word), "OOGOGOOGOGOOGOGOGOOGOGOOGOGG");
 }
 
 }  // namespace

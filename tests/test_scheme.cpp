@@ -3,6 +3,8 @@
 // topology queries, validation and DOT export.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bmp/core/scheme.hpp"
 #include "test_helpers.hpp"
 
@@ -54,6 +56,23 @@ TEST(Scheme, RatesAndDegrees) {
   EXPECT_EQ(s.in_degree(3), 2);
   EXPECT_EQ(s.max_out_degree(), 2);
   EXPECT_DOUBLE_EQ(s.total_rate(), 7.0);
+}
+
+TEST(Scheme, InRatesMatchPerNodeSumsBitForBit) {
+  // in_rates() must add each node's in-edges in in_rate()'s order
+  // (ascending sender): repair and the download-cap checks rely on it.
+  util::Xoshiro256 rng(5);
+  BroadcastScheme s(40);
+  for (int k = 0; k < 600; ++k) {
+    const int from = static_cast<int>(rng.below(40));
+    const int to = static_cast<int>(rng.below(40));
+    if (from != to) s.add(from, to, rng.uniform(1e-3, 7.0));
+  }
+  const std::vector<double> in = s.in_rates();
+  ASSERT_EQ(in.size(), 40u);
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_EQ(in[static_cast<std::size_t>(i)], s.in_rate(i)) << "node " << i;
+  }
 }
 
 TEST(Scheme, TopologicalOrderOnDag) {
