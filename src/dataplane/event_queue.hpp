@@ -23,6 +23,14 @@ enum class ChunkEventKind : std::uint8_t {
   kEmission,      ///< the source makes its next chunk available
   kSendComplete,  ///< a pipe finishes a transmission and frees up
   kArrival,       ///< a chunk (or its loss notice) reaches the receiver
+  /// A zero-latency transmission's send-complete and arrival in one heap
+  /// entry, processed in that order. Queued as a pair they would share a
+  /// timestamp and consecutive sequence numbers, and whatever the
+  /// send-complete pushes takes a later sequence number at a time no
+  /// earlier, so the pair always popped back to back: merging them changes
+  /// no outcome. It is two logical events (the profiler's "events" counter
+  /// counts it twice).
+  kSendAndArrival,
 };
 
 struct ChunkEvent {
@@ -31,7 +39,7 @@ struct ChunkEvent {
   ChunkEventKind kind = ChunkEventKind::kEmission;
   int pipe = -1;                 ///< pipe slot (send-complete / arrival)
   std::uint64_t generation = 0;  ///< stale-event guard (pipe or emission)
-  int chunk = -1;                ///< chunk id in flight (arrival)
+  int chunk = -1;                ///< chunk id in flight (arrival kinds)
   bool lost = false;             ///< arrival carries a loss notice instead
   /// The payload's checksum won't match on arrival: either the sender held
   /// a corrupted copy (silent propagation) or the wire flipped bits in

@@ -113,6 +113,20 @@ Execution::Node& Execution::node_at(int id, const char* who) {
   return nodes_[static_cast<std::size_t>(id)];
 }
 
+std::vector<Execution::Node::Reservation>::iterator
+Execution::Node::reservation_at(int chunk) {
+  return std::lower_bound(
+      inflight.begin(), inflight.end(), chunk,
+      [](const Reservation& r, int c) { return r.chunk < c; });
+}
+
+void Execution::Node::release_copy(int chunk) {
+  const auto it = reservation_at(chunk);
+  if (it != inflight.end() && it->chunk == chunk && --it->count <= 0) {
+    inflight.erase(it);
+  }
+}
+
 // ---------------------------------------------------------- live topology
 
 int Execution::add_node(double upload_budget) {
@@ -569,10 +583,7 @@ void Execution::remove_pipe(int slot) {
 void Execution::release_reservation(int receiver_id, int chunk) {
   Node& receiver = nodes_[static_cast<std::size_t>(receiver_id)];
   if (!receiver.alive) return;  // a dead receiver's bookkeeping died with it
-  const auto it = receiver.inflight.find(chunk);
-  if (it != receiver.inflight.end() && --it->second.count <= 0) {
-    receiver.inflight.erase(it);
-  }
+  receiver.release_copy(chunk);
   --receiver.window_used;
 }
 
@@ -586,8 +597,7 @@ void Execution::run_until(double t) {
   while (!queue_.empty() && queue_.top().time <= t) {
     const ChunkEvent event = queue_.pop();
     now_ = event.time;
-    process(event);
-    ++events;
+    events += process(event);
   }
   now_ = t;
   if (config_.profiler != nullptr) flush_profile(events);
@@ -603,8 +613,7 @@ void Execution::run_to_completion() {
   while (!queue_.empty()) {
     const ChunkEvent event = queue_.pop();
     now_ = event.time;
-    process(event);
-    ++events;
+    events += process(event);
   }
   if (config_.profiler != nullptr) flush_profile(events);
 }
@@ -642,18 +651,23 @@ void Execution::flush_profile(std::uint64_t events) {
   mark.linear_scans = sched_linear_scans_;
 }
 
-void Execution::process(const ChunkEvent& event) {
+int Execution::process(const ChunkEvent& event) {
   switch (event.kind) {
     case ChunkEventKind::kEmission:
       if (event.generation == emission_generation_) emit_chunks();
-      break;
+      return 1;
     case ChunkEventKind::kSendComplete:
       on_send_complete(event);
-      break;
+      return 1;
     case ChunkEventKind::kArrival:
       on_arrival(event);
-      break;
+      return 1;
+    case ChunkEventKind::kSendAndArrival:
+      on_send_complete(event);
+      on_arrival(event);
+      return 2;
   }
+  return 1;
 }
 
 void Execution::emit_chunks() {
@@ -727,10 +741,7 @@ void Execution::on_arrival(const ChunkEvent& event) {
       !event.lost && event.corrupted && config_.verify_payloads;
   if (event.lost || checksum_failed) ++pipe.lost; else ++pipe.delivered;
   if (event.lost || checksum_failed) {
-    const auto it = receiver.inflight.find(event.chunk);
-    if (it != receiver.inflight.end() && --it->second.count <= 0) {
-      receiver.inflight.erase(it);
-    }
+    receiver.release_copy(event.chunk);
     if (checksum_failed) ++corruptions_; else ++losses_;
     // The loss notice re-opens the chunk for scheduling; every loss leads
     // to exactly one fresh transmission attempt somewhere.
@@ -765,7 +776,11 @@ void Execution::on_arrival(const ChunkEvent& event) {
     activate_receiver(receiver_id);
     return;
   }
-  receiver.inflight.erase(event.chunk);  // later copies arrive as duplicates
+  // Later copies arrive as duplicates.
+  const auto reserved = receiver.reservation_at(event.chunk);
+  if (reserved != receiver.inflight.end() && reserved->chunk == event.chunk) {
+    receiver.inflight.erase(reserved);
+  }
   if (event.corrupted) {
     // Frozen path (verify_payloads off): the damage is silently accepted —
     // and, worse, forwarded — the failure mode the hardened path closes.
@@ -841,14 +856,18 @@ void Execution::pick_linear(const Node& sender, const Node& receiver,
   overtake = -1;
   int best_replicas = std::numeric_limits<int>::max();
   int overtake_replicas = std::numeric_limits<int>::max();
+  // The reservations are sorted by chunk and the scan ascends: one cursor.
+  auto reserved = receiver.inflight.begin();
+  const auto reservations_end = receiver.inflight.end();
   for (int chunk = start; chunk < end; ++chunk) {
     if (bit(receiver.have, chunk)) continue;
     if (!node_has(sender, chunk)) continue;
-    const auto reserved = receiver.inflight.find(chunk);
+    while (reserved != reservations_end && reserved->chunk < chunk) ++reserved;
+    const bool unreserved =
+        reserved == reservations_end || reserved->chunk != chunk;
     const int rep = replicas_[static_cast<std::size_t>(chunk)];
-    if (reserved == receiver.inflight.end() ||
-        (rescue > 0.0 &&
-         my_eta - now_ < rescue * (reserved->second.eta - now_))) {
+    if (unreserved ||
+        (rescue > 0.0 && my_eta - now_ < rescue * (reserved->eta - now_))) {
       // Unreserved, or reserved on a pipe so slow this sender can rescue
       // it: both compete in rarest-first order.
       if (rep < best_replicas) {
@@ -857,7 +876,7 @@ void Execution::pick_linear(const Node& sender, const Node& receiver,
       }
     } else if (config_.overtake_factor > 0.0 && rep < overtake_replicas &&
                my_eta - now_ <
-                   config_.overtake_factor * (reserved->second.eta - now_)) {
+                   config_.overtake_factor * (reserved->eta - now_)) {
       overtake = chunk;
       overtake_replicas = rep;
     }
@@ -866,9 +885,10 @@ void Execution::pick_linear(const Node& sender, const Node& receiver,
 
 // Word-parallel form: one pass over the window's 64-bit words of
 // sender.have & ~receiver.have, walking set bits in id order and keeping
-// the min (replicas, id). The reservation map is consulted only for a
-// chunk whose replica count beats the current best, so a deep backlog
-// costs a word sweep plus a handful of lookups. Overtake candidates are
+// the min (replicas, id). The reservations are consulted only for a
+// chunk whose replica count beats the current best, through a cursor that
+// only moves forward, so a deep backlog costs a word sweep plus one pass
+// over the (window-bounded) reservation list. Overtake candidates are
 // tracked as in pick_linear; they only matter when no best exists, and
 // then every candidate was examined, so the pick is identical.
 void Execution::pick_indexed(const Node& sender, const Node& receiver,
@@ -884,6 +904,8 @@ void Execution::pick_indexed(const Node& sender, const Node& receiver,
   const auto last = static_cast<std::size_t>(end - 1) >> 6;
   // The sender holds nothing past its bitset; the receiver lacks it all.
   const std::size_t stop = std::min(last + 1, sender.have.size());
+  auto reserved = receiver.inflight.begin();
+  const auto reservations_end = receiver.inflight.end();
   for (std::size_t w = first; w < stop; ++w) {
     std::uint64_t word = sender.have[w];
     if (w < receiver.have.size()) word &= ~receiver.have[w];
@@ -893,15 +915,16 @@ void Execution::pick_indexed(const Node& sender, const Node& receiver,
       const int chunk = static_cast<int>(w << 6) + __builtin_ctzll(word);
       const int rep = replicas_[static_cast<std::size_t>(chunk)];
       if (rep >= best_replicas) continue;
-      const auto reserved = receiver.inflight.find(chunk);
-      if (reserved == receiver.inflight.end() ||
-          (rescue > 0.0 &&
-           my_eta - now_ < rescue * (reserved->second.eta - now_))) {
+      while (reserved != reservations_end && reserved->chunk < chunk) {
+        ++reserved;
+      }
+      if (reserved == reservations_end || reserved->chunk != chunk ||
+          (rescue > 0.0 && my_eta - now_ < rescue * (reserved->eta - now_))) {
         best = chunk;
         best_replicas = rep;
       } else if (config_.overtake_factor > 0.0 && rep < overtake_replicas &&
                  my_eta - now_ <
-                     config_.overtake_factor * (reserved->second.eta - now_)) {
+                     config_.overtake_factor * (reserved->eta - now_)) {
         overtake = chunk;
         overtake_replicas = rep;
       }
@@ -996,10 +1019,12 @@ void Execution::try_send(int pipe_slot) {
     pipe.lineage_stall_mark = pipe.window_stalls;
     pipe.lineage_inflight.push_back(pending);
   }
-  auto& reservation = receiver.inflight[best];
-  reservation.eta =
-      reservation.count == 0 ? my_eta : std::min(reservation.eta, my_eta);
-  ++reservation.count;
+  auto reservation = receiver.reservation_at(best);
+  if (reservation == receiver.inflight.end() || reservation->chunk != best) {
+    reservation = receiver.inflight.insert(reservation, {best, 0, my_eta});
+  }
+  reservation->eta = std::min(reservation->eta, my_eta);
+  ++reservation->count;
   ++receiver.window_used;
   double wire_rate = send_rate;
   if (profile.rate_jitter > 0.0) {
@@ -1023,31 +1048,42 @@ void Execution::try_send(int pipe_slot) {
       !lost && (bit(sender.corrupt, best) ||
                 (sender.corrupt_rate > 0.0 &&
                  pipe.rng.uniform() < sender.corrupt_rate));
-  ChunkEvent freed;
-  freed.time = done;
-  freed.kind = ChunkEventKind::kSendComplete;
-  freed.pipe = pipe_slot;
-  freed.generation = pipe.generation;
-  queue_.push(freed);  // before the arrival: at zero latency the pipe frees first
-  ChunkEvent arrival;
-  arrival.time = done + profile.latency;
-  arrival.kind = ChunkEventKind::kArrival;
-  arrival.pipe = pipe_slot;
-  arrival.generation = pipe.generation;
-  arrival.chunk = best;
-  arrival.lost = lost;
-  arrival.corrupted = corrupted;
-  queue_.push(arrival);
+  ChunkEvent event;
+  event.time = done;
+  event.pipe = pipe_slot;
+  event.generation = pipe.generation;
+  event.chunk = best;
+  event.lost = lost;
+  event.corrupted = corrupted;
+  if (profile.latency == 0.0) {
+    // The arrival coincides with the send-complete: one combined event.
+    event.kind = ChunkEventKind::kSendAndArrival;
+    queue_.push(event);
+    return;
+  }
+  // Send-complete before the arrival; at positive latency the two are
+  // separate heap entries, so other events interleave between them.
+  event.kind = ChunkEventKind::kSendComplete;
+  queue_.push(event);
+  event.time = done + profile.latency;
+  event.kind = ChunkEventKind::kArrival;
+  queue_.push(event);
 }
 
+// A busy pipe declines before try_send counts anything, so the wake-ups
+// skip it inline.
 void Execution::activate_sender(int node_id) {
   const Node& node = nodes_[static_cast<std::size_t>(node_id)];
-  for (const int slot : node.out) try_send(slot);
+  for (const int slot : node.out) {
+    if (!pipes_[static_cast<std::size_t>(slot)].busy) try_send(slot);
+  }
 }
 
 void Execution::activate_receiver(int node_id) {
   const Node& node = nodes_[static_cast<std::size_t>(node_id)];
-  for (const int slot : node.in) try_send(slot);
+  for (const int slot : node.in) {
+    if (!pipes_[static_cast<std::size_t>(slot)].busy) try_send(slot);
+  }
 }
 
 // ----------------------------------------------------------------- observe
@@ -1187,7 +1223,8 @@ std::vector<std::string> Execution::validate(double tol) const {
                            " != in-flight copies " +
                            std::to_string(copies_toward[id]));
     }
-    for (const auto& [chunk, reservation] : node.inflight) {
+    for (const Node::Reservation& reservation : node.inflight) {
+      const int chunk = reservation.chunk;
       if (bit(node.have, chunk)) {
         violations.push_back("node " + std::to_string(id) +
                              " holds a reservation for delivered chunk " +
@@ -1211,7 +1248,10 @@ std::vector<std::string> Execution::validate(double tol) const {
     const Node& node = nodes_[static_cast<std::size_t>(key.first)];
     if (!node.alive) continue;  // reported above
     if (!bit(node.have, key.second) &&
-        node.inflight.find(key.second) == node.inflight.end()) {
+        std::none_of(node.inflight.begin(), node.inflight.end(),
+                     [&](const Node::Reservation& reservation) {
+                       return reservation.chunk == key.second;
+                     })) {
       violations.push_back(std::to_string(count) +
                            " unreserved in-flight copies of chunk " +
                            std::to_string(key.second) + " toward node " +

@@ -20,7 +20,9 @@
 //     receiver's in-flight window fills (head-of-line stalls are counted);
 //   * a deterministic event loop (event_queue.hpp) advances emission /
 //     send-complete / arrival events in timestamp-then-id order, so
-//     replays are bit-identical.
+//     replays are bit-identical. A zero-latency transmission queues its
+//     send-complete and arrival as one combined event (they could never
+//     pop apart); the profiler still counts logical events, two for it.
 //
 // The topology is *live-patchable*: nodes and edges can be added, removed
 // and re-rated mid-stream — a departed node's in-flight chunks are dropped
@@ -384,14 +386,22 @@ class Execution {
     double last_time = -1.0;    ///< time of the latest delivery
     std::vector<std::uint64_t> have;     // received bitset
     std::vector<std::uint64_t> corrupt;  // received-but-damaged bitset
-    /// chunk -> active transmissions toward this node. `eta` is the min
-    /// arrival time among them (conservative under cancellations: a stale
-    /// min only makes overtaking harder, never unsafe).
+    /// Active transmissions toward this node, one entry per chunk, kept
+    /// sorted by chunk. `eta` is the min arrival time among them
+    /// (conservative under cancellations: a stale min only makes
+    /// overtaking harder, never unsafe). Every copy holds a window slot, so
+    /// the list never outgrows the effective window: a flat vector the
+    /// ascending pick scans walk with one cursor.
     struct Reservation {
+      int chunk = 0;
       int count = 0;
       double eta = 0.0;
     };
-    std::map<int, Reservation> inflight;
+    std::vector<Reservation> inflight;
+    /// The first reservation with chunk >= `chunk` (end() if none).
+    [[nodiscard]] std::vector<Reservation>::iterator reservation_at(int chunk);
+    /// Drops one copy of `chunk`'s reservation, erasing it at zero.
+    void release_copy(int chunk);
     std::vector<int> out;  ///< pipe slots, kept sorted by receiver id
     std::vector<int> in;   ///< pipe slots, kept sorted by sender id
   };
@@ -445,7 +455,9 @@ class Execution {
 
   [[nodiscard]] const LinkProfile& profile_for(const Pipe& pipe) const;
 
-  void process(const ChunkEvent& event);
+  /// Runs one queued event; returns the logical events it stands for (a
+  /// combined zero-latency send-complete + arrival counts two).
+  int process(const ChunkEvent& event);
   void emit_chunks();
   void schedule_next_emission();
   void on_send_complete(const ChunkEvent& event);

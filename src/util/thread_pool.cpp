@@ -6,15 +6,10 @@
 
 namespace bmp::util {
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
+ThreadPool::ThreadPool(std::size_t threads)
+    : threads_(threads != 0 ? threads
+                            : std::max<std::size_t>(
+                                  1, std::thread::hardware_concurrency())) {}
 
 ThreadPool::~ThreadPool() {
   {
@@ -30,6 +25,13 @@ void ThreadPool::submit(std::function<void()> task) {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stop_) {
       throw std::runtime_error("ThreadPool::submit: pool is stopped");
+    }
+    if (workers_.empty()) {
+      // The new workers block on mutex_ until this submit releases it.
+      workers_.reserve(threads_);
+      for (std::size_t i = 0; i < threads_; ++i) {
+        workers_.emplace_back([this] { worker_loop(); });
+      }
     }
     queue_.push(std::move(task));
   }

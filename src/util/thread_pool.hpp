@@ -17,14 +17,16 @@ namespace bmp::util {
 
 class ThreadPool {
  public:
-  /// threads == 0 picks std::thread::hardware_concurrency() (min 1).
+  /// threads == 0 picks std::thread::hardware_concurrency() (min 1). The
+  /// workers start with the first submit, so a pool that never gets work
+  /// (a planner that never batches) costs no thread creation.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t size() const { return workers_.size(); }
+  [[nodiscard]] std::size_t size() const { return threads_; }
 
   /// Enqueue a task; fire-and-forget (use wait_idle to join logically).
   /// Throws std::runtime_error if the pool is shutting down.
@@ -38,7 +40,8 @@ class ThreadPool {
  private:
   void worker_loop();
 
-  std::vector<std::thread> workers_;
+  std::size_t threads_;
+  std::vector<std::thread> workers_;  ///< empty until the first submit
   std::queue<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_task_;

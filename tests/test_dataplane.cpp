@@ -10,7 +10,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <ostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bmp/core/acyclic_search.hpp"
@@ -18,6 +21,7 @@
 #include "bmp/dataplane/execution.hpp"
 #include "bmp/flow/verify.hpp"
 #include "bmp/gen/generator.hpp"
+#include "bmp/obs/lineage.hpp"
 #include "bmp/obs/profiler.hpp"
 #include "bmp/runtime/runtime.hpp"
 #include "bmp/runtime/scenario.hpp"
@@ -457,6 +461,395 @@ TEST(Execution, SharpUpwardRerateRestartsTheInFlightTransmission) {
   exec.run_to_completion();
   EXPECT_EQ(exec.delivered(a), 5);
   EXPECT_LT(exec.completion_time(a), 2.0);
+}
+
+// ------------------------------------------------- pinned mixed-latency replay
+
+/// 64-bit FNV-1a over the exact bytes of what a run exposes, so a pin
+/// catches any change in event order, timing or bookkeeping.
+struct Fnv {
+  std::uint64_t hash = 14695981039346656037ULL;
+  void bytes(const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash = (hash ^ p[i]) * 1099511628211ULL;
+    }
+  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void i(int v) {
+    u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+  }
+  void d(double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    u64(bits);
+  }
+  void s(const std::string& v) {
+    u64(v.size());
+    bytes(v.data(), v.size());
+  }
+};
+
+struct MixedPins {
+  std::uint64_t edges, report, latencies, lineage, validate;
+  friend bool operator==(const MixedPins& a, const MixedPins& b) {
+    return a.edges == b.edges && a.report == b.report &&
+           a.latencies == b.latencies && a.lineage == b.lineage &&
+           a.validate == b.validate;
+  }
+};
+
+/// The pins plus the fault-path tallies that show the script reached them.
+struct MixedRun {
+  MixedPins pins;
+  std::uint64_t losses, duplicates, damaged, written_off, hol_stalls;
+};
+
+std::ostream& operator<<(std::ostream& out, const MixedPins& pins) {
+  return out << std::hex << "{0x" << pins.edges << "ULL, 0x" << pins.report
+             << "ULL, 0x" << pins.latencies << "ULL, 0x" << pins.lineage
+             << "ULL, 0x" << pins.validate << "ULL}" << std::dec;
+}
+
+/// Node budgets, planned pipes (in set_edge order) and the stream rate.
+struct MixedOverlay {
+  std::vector<double> budgets;
+  std::vector<std::tuple<int, int, double>> pipes;
+  double rate = 0.0;
+};
+
+/// The planner's acyclic overlay of a random 30-peer platform.
+MixedOverlay planned_overlay(util::Xoshiro256& rng) {
+  const Instance platform =
+      gen::random_instance({30, 0.6, gen::Dist::kUnif100}, rng);
+  const AcyclicSolution solution = solve_acyclic(platform);
+  MixedOverlay overlay;
+  overlay.rate = solution.throughput;
+  for (int i = 0; i < platform.size(); ++i) {
+    overlay.budgets.push_back(platform.b(i));
+    for (const auto& [to, rate] : solution.scheme.out_edges(i)) {
+      overlay.pipes.emplace_back(i, to, rate);
+    }
+  }
+  return overlay;
+}
+
+/// A 16-node DAG whose pipe rates are 1, 2 or 4 with budgets equal to the
+/// planned out-rates. With a 1/4 chunk, 1/16 s emission spacing and
+/// latencies of 1/8 and 1/16 s every event time is exact in binary, so many
+/// events tie: the case where the order of equal-time events decides.
+MixedOverlay dyadic_overlay(util::Xoshiro256& rng) {
+  MixedOverlay overlay;
+  overlay.rate = 4.0;
+  overlay.budgets.assign(16, 0.0);
+  const auto add_pipe = [&](int from, int to) {
+    const double rate = static_cast<double>(1 << rng.below(3));
+    overlay.pipes.emplace_back(from, to, rate);
+    overlay.budgets[static_cast<std::size_t>(from)] += rate;
+  };
+  for (int to = 1; to < 16; ++to) {
+    const auto below_to = [&] {
+      return static_cast<int>(rng.below(static_cast<std::uint64_t>(to)));
+    };
+    const int first = below_to();
+    const int second = below_to();
+    add_pipe(first, to);
+    if (second != first) add_pipe(second, to);
+  }
+  return overlay;
+}
+
+// A paced lossy stream where every third sender's egress class carries
+// propagation latency (some with jitter) and the rest transmit at zero
+// latency, plus per-edge overrides in both directions. The script walks
+// the fault paths that tear transmissions down mid-flight: a corrupting
+// relay, a partition, a trickle pipe sharply re-rated (restart), a
+// reconcile_edges splice, a peer crash and its synthesized departure, and a
+// source crash with failover.
+MixedRun run_mixed_scenario(std::uint64_t seed, bool verify,
+                            obs::Profiler* profiler = nullptr,
+                            bool dyadic = false) {
+  util::Xoshiro256 rng(seed);
+  const MixedOverlay overlay =
+      dyadic ? dyadic_overlay(rng) : planned_overlay(rng);
+  const double rate = overlay.rate;
+  obs::LineageSink lineage;
+  ExecutionConfig config;
+  config.chunk_size = dyadic ? 0.25 : rate * 0.05;
+  config.total_chunks = 280;
+  config.emission_rate = rate;
+  config.loss_rate = 0.03;
+  // The dyadic overlay's pipes outrun the stream; a one-slot window (the
+  // effective window is still the in-degree) keeps backpressure in play.
+  config.receiver_window = dyadic ? 1 : 4;
+  config.seed = seed;
+  config.collect_latencies = true;
+  config.verify_payloads = verify;
+  config.lineage = &lineage;
+  config.trace_id = 3;
+  config.profiler = profiler;
+  Execution exec(config);
+  for (const double budget : overlay.budgets) exec.add_node(budget);
+  for (const auto& [from, to, pipe_rate] : overlay.pipes) {
+    exec.set_edge(from, to, pipe_rate);
+  }
+  const int peers = exec.num_nodes();
+  for (int id = 0; id < peers; ++id) {
+    if (id % 3 != 1) continue;
+    exec.set_egress_profile(
+        id, dyadic ? LinkProfile{0.02, id % 2 == 0 ? 0.125 : 0.0625, 0.0}
+                   : LinkProfile{0.02, 0.015, id % 2 == 0 ? 0.2 : 0.0});
+  }
+  std::vector<EdgeStats> rows;
+  exec.edge_stats_into(rows);
+  // Overrides both ways: a zero-latency edge out of a latency class and a
+  // latency edge out of a zero-latency one.
+  for (const EdgeStats& row : rows) {
+    if (row.from % 3 == 1 && row.to % 2 == 0) {
+      exec.set_edge_profile(row.from, row.to, {0.0, 0.0, 0.0});
+      break;
+    }
+  }
+  for (const EdgeStats& row : rows) {
+    if (row.from % 3 != 1 && row.to % 2 == 1) {
+      exec.set_edge_profile(row.from, row.to,
+                            dyadic ? LinkProfile{0.05, 0.125, 0.0}
+                                   : LinkProfile{0.05, 0.03, 0.1});
+      break;
+    }
+  }
+  const auto pick_peer = [&] {
+    int peer = 0;
+    while (!exec.node_alive(peer) || peer == exec.origin()) {
+      peer = 1 + static_cast<int>(rng.uniform() * (peers - 1));
+    }
+    return peer;
+  };
+  std::vector<std::string> audits;
+  const auto audit = [&] {
+    for (const std::string& line : exec.validate()) audits.push_back(line);
+  };
+  exec.set_corrupt_rate(pick_peer(), 0.25);
+  exec.run_until(1.5);
+  audit();
+  const int cut = pick_peer();
+  exec.set_partition_group(cut, 1);
+  const int trickle_from = pick_peer();
+  int trickle_to = pick_peer();
+  while (trickle_to == trickle_from) trickle_to = pick_peer();
+  // The added pipes come with budget to match, so the multi-port audit
+  // stays clean and validate() reports only bookkeeping leaks.
+  exec.set_node_budget(
+      trickle_from,
+      overlay.budgets[static_cast<std::size_t>(trickle_from)] + rate * 0.3);
+  exec.set_edge(trickle_from, trickle_to, rate * 0.002);
+  exec.run_until(3.0);
+  audit();
+  exec.set_partition_group(cut, 0);
+  // Sharply re-rated while busy: the trickle's transmission restarts.
+  exec.set_edge(trickle_from, trickle_to, rate * 0.3);
+  exec.run_until(4.0);
+  audit();
+  // Splice: drop the first live edge, halve the second, add a new one.
+  exec.edge_stats_into(rows);
+  std::vector<std::tuple<int, int, double>> desired;
+  for (std::size_t k = 1; k < rows.size(); ++k) {
+    desired.emplace_back(rows[k].from, rows[k].to,
+                         k == 1 ? rows[k].rate * 0.5 : rows[k].rate);
+  }
+  const int spliced = pick_peer();
+  exec.set_node_budget(exec.origin(), overlay.budgets[0] + rate * 0.2);
+  desired.emplace_back(exec.origin(), spliced, rate * 0.2);
+  exec.reconcile_edges(desired);
+  exec.run_until(5.0);
+  audit();
+  const int crashed = pick_peer();
+  exec.crash_node(crashed);
+  exec.run_until(6.0);
+  audit();
+  exec.remove_node(crashed);
+  exec.run_until(8.0);
+  audit();
+  exec.crash_node(exec.origin());
+  exec.failover_source();
+  exec.run_to_completion();
+  audit();
+
+  MixedPins pins{};
+  Fnv edges;
+  exec.edge_stats_into(rows);
+  for (const EdgeStats& row : rows) {
+    edges.i(row.from);
+    edges.i(row.to);
+    edges.d(row.rate);
+    edges.d(row.busy_time);
+    edges.d(row.completed);
+    edges.u64(row.sent);
+    edges.u64(row.delivered);
+    edges.u64(row.lost);
+    edges.i(row.busy ? 1 : 0);
+    edges.d(row.pending_duration);
+    edges.u64(row.attempts);
+    edges.u64(row.window_stalls);
+    edges.u64(row.no_chunk);
+  }
+  pins.edges = edges.hash;
+  Fnv report;
+  const ExecutionReport summary = exec.report(rate);
+  report.d(summary.now);
+  report.i(summary.emitted);
+  report.u64(summary.delivered_chunks);
+  report.u64(summary.losses);
+  report.u64(summary.retransmits);
+  report.u64(summary.hol_stalls);
+  report.u64(summary.duplicates);
+  report.d(summary.achieved_rate);
+  report.d(summary.stretch);
+  report.u64(exec.corruptions());
+  report.u64(exec.corrupted_accepted());
+  report.u64(exec.written_off());
+  for (const NodeProgress& node : summary.nodes) {
+    report.i(node.id);
+    report.i(node.alive ? 1 : 0);
+    report.i(node.delivered);
+    report.i(node.skipped);
+    report.d(node.joined);
+    report.d(node.completion_time);
+    report.d(node.steady_rate);
+    report.i(node.max_buffer);
+  }
+  pins.report = report.hash;
+  Fnv latencies;
+  for (const double latency : exec.drain_latencies()) latencies.d(latency);
+  pins.latencies = latencies.hash;
+  Fnv hops;
+  for (const obs::HopRecord& hop : lineage.hops()) {
+    hops.i(hop.chunk);
+    hops.i(hop.from);
+    hops.i(hop.to);
+    hops.i(hop.channel);
+    hops.d(hop.enqueue);
+    hops.d(hop.start);
+    hops.d(hop.finish);
+    hops.i(hop.retransmits);
+    hops.d(hop.loss_time);
+    hops.i(hop.hol_stalled ? 1 : 0);
+    hops.i(hop.overtake ? 1 : 0);
+  }
+  pins.lineage = hops.hash;
+  Fnv validate;
+  for (const std::string& line : audits) validate.s(line);
+  pins.validate = validate.hash;
+  return {pins, exec.losses(), exec.duplicates(),
+          exec.corruptions() + exec.corrupted_accepted(), exec.written_off(),
+          exec.hol_stalls()};
+}
+
+TEST(Execution, MixedLatencyReplayIsPinned) {
+  // Byte-level pins recorded from the two-event (send-complete, arrival)
+  // engine: zero-latency transmissions may be processed as one event, but
+  // the replay must not move a bit.
+  struct Case {
+    std::uint64_t seed;
+    bool verify;
+    MixedPins want;
+  };
+  // validate() stays silent at every checkpoint: its pin is the empty hash.
+  constexpr std::uint64_t kClean = 0xcbf29ce484222325ULL;
+  const Case cases[] = {
+      {1, false,
+       {0x2737790c53c1d830ULL, 0xd5a50dbb3bd377ddULL,
+        0xcefaf194d1de6481ULL, 0x1ec7490571e0ac2dULL, kClean}},
+      {1, true,
+       {0x1c986bc54dc2b53ULL, 0xf36a8c9dafb5b4bdULL,
+        0xfc6839ed475512b1ULL, 0x1f73d589abe989c4ULL, kClean}},
+      {2, false,
+       {0xf90863f8224124ceULL, 0x485c0bc5e0a68bdfULL,
+        0xa1ce302c637e5f63ULL, 0x53f2323f290cbe03ULL, kClean}},
+      {2, true,
+       {0xb09a786170b87369ULL, 0x8f7d382f089ebf29ULL,
+        0xbb2e976753393443ULL, 0x70f65f54a28c0ef2ULL, kClean}},
+      {3, false,
+       {0x18f8b2415fecd5ccULL, 0xac5e5cd235a75382ULL,
+        0x3c50c1d42b1c1fe3ULL, 0xc5e840a3a991c5b4ULL, kClean}},
+      {3, true,
+       {0x702ca14f0058c19bULL, 0x4ba3a6b3b563074ULL,
+        0x6da5be40499a2ea5ULL, 0x21671a0cca7e434eULL, kClean}},
+  };
+  // Exact-tie overlays: equal-time events are everywhere.
+  const Case dyadic[] = {
+      {4, false,
+       {0x7e6e7b5a88151b55ULL, 0x5069b98c47b850e8ULL,
+        0x69bac75e0e030ba1ULL, 0x382ab51c38d703bbULL, kClean}},
+      {5, true,
+       {0x1fa555c5de6d2befULL, 0xc3a5a9632558cfa7ULL,
+        0xaa38f598de7c3251ULL, 0xf66b404a7c52e119ULL, kClean}},
+  };
+  for (const Case& c : cases) {
+    const MixedRun run = run_mixed_scenario(c.seed, c.verify);
+    EXPECT_EQ(run.pins, c.want) << "seed " << c.seed << " verify " << c.verify;
+    // Every case reaches loss, overtaking, corruption, failover write-offs
+    // and window backpressure.
+    EXPECT_GT(run.losses, 0u);
+    EXPECT_GT(run.duplicates, 0u);
+    EXPECT_GT(run.damaged, 0u);
+    EXPECT_GT(run.written_off, 0u);
+    EXPECT_GT(run.hol_stalls, 0u);
+  }
+  for (const Case& c : dyadic) {
+    const MixedRun run = run_mixed_scenario(c.seed, c.verify, nullptr, true);
+    EXPECT_EQ(run.pins, c.want) << "dyadic seed " << c.seed;
+    EXPECT_GT(run.losses, 0u);
+    EXPECT_GT(run.hol_stalls, 0u);
+  }
+}
+
+TEST(Execution, AdvanceCountersArePinned) {
+  // Every dataplane/advance and dataplane/scheduler counter, pinned. The
+  // events counter counts logical events: a zero-latency transmission's
+  // send-complete and arrival count two, however they are queued.
+  const char* const advance[] = {"events",      "emitted",    "delivered",
+                                 "losses",      "retransmits", "duplicates",
+                                 "hol_stalls"};
+  const char* const scheduler[] = {"attempts", "window_stalls", "no_chunk",
+                                   "index_picks", "linear_scans"};
+  const auto counters = [&](const obs::Profiler& profiler) {
+    std::vector<std::uint64_t> out;
+    for (const char* name : advance) {
+      out.push_back(profiler.counter("dataplane/advance", name));
+    }
+    for (const char* name : scheduler) {
+      out.push_back(profiler.counter("dataplane/scheduler", name));
+    }
+    return out;
+  };
+
+  // Zero latency everywhere: a lossy paced stream, advanced in steps.
+  util::Xoshiro256 rng(41);
+  const Instance platform =
+      gen::random_instance({40, 0.6, gen::Dist::kUnif100}, rng);
+  const AcyclicSolution solution = solve_acyclic(platform);
+  obs::Profiler zero;
+  ExecutionConfig config;
+  config.chunk_size = solution.throughput * 0.05;
+  config.total_chunks = 300;
+  config.emission_rate = solution.throughput;
+  config.loss_rate = 0.02;
+  config.receiver_window = 2;  // narrow enough to stall at zero latency
+  config.seed = 7;
+  config.profiler = &zero;
+  Execution exec(platform, solution.scheme, config);
+  for (double t = 0.5; t < 10.0; t += 0.5) exec.run_until(t);
+  exec.run_to_completion();
+  EXPECT_EQ(counters(zero), (std::vector<std::uint64_t>{
+                                25029, 300, 12000, 271, 271, 93, 9139,  //
+                                23350, 9139, 1847, 14135, 76}));
+
+  obs::Profiler mixed;
+  run_mixed_scenario(2, true, &mixed);
+  EXPECT_EQ(counters(mixed), (std::vector<std::uint64_t>{
+                                 7244, 280, 3272, 115, 146, 56, 92,  //
+                                 6847, 92, 3274, 5900, 855}));
 }
 
 // ------------------------------------------- acceptance: plan vs achieved

@@ -169,6 +169,23 @@ TEST(ThreadPool, ParallelSumMatchesSerial) {
   EXPECT_EQ(sum.load(), 10001LL * 10000 / 2);
 }
 
+TEST(ThreadPool, WorkersStartWithTheFirstSubmit) {
+  // size() (parallel_for's chunking input) is the configured count from
+  // construction on; a pool that never gets work waits and tears down
+  // without ever starting a thread.
+  {
+    ThreadPool idle(3);
+    EXPECT_EQ(idle.size(), 3u);
+    idle.wait_idle();
+  }
+  EXPECT_GE(ThreadPool(0).size(), 1u);
+  ThreadPool pool(3);
+  std::atomic<int> count{0};
+  parallel_for(pool, 0, 30, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 30);
+  EXPECT_EQ(pool.size(), 3u);
+}
+
 TEST(ThreadPool, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   bool touched = false;
