@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -46,9 +45,9 @@ double Controller::quantize(double value) const {
 }
 
 void Controller::forgive(int id) {
-  const auto it = nodes_.find(id);
-  if (it != nodes_.end()) {
-    NodeState& node = it->second;
+  if (id >= 0 && id < static_cast<int>(nodes_.size()) &&
+      nodes_[static_cast<std::size_t>(id)].known) {
+    NodeState& node = nodes_[static_cast<std::size_t>(id)];
     if (node.factor < 1.0 && node.pardon_from < 0.0) {
       node.pardon_from = node.factor;
     }
@@ -64,8 +63,8 @@ void Controller::forgive(int id) {
     // prev_delivered stays: the raw counter is still monotone, wiping it
     // would turn the whole stream history into one giant first delta.
   }
-  for (auto& [key, edge] : edges_) {
-    if (key.first != id && key.second != id) continue;
+  for (EdgeState& edge : edges_) {
+    if (edge.from != id && edge.to != id) continue;
     edge.health = HysteresisDetector(config_.edge);
     edge.goodput = Ewma();
     edge.loss = Ewma();
@@ -77,15 +76,15 @@ void Controller::forgive(int id) {
 }
 
 double Controller::factor(int id) const {
-  const auto it = nodes_.find(id);
-  return it == nodes_.end() ? 1.0 : it->second.factor;
+  if (id < 0 || id >= static_cast<int>(nodes_.size())) return 1.0;
+  return nodes_[static_cast<std::size_t>(id)].factor;
 }
 
 NodeHealth Controller::node_health(int id) const {
   NodeHealth health;
-  const auto it = nodes_.find(id);
-  if (it == nodes_.end()) return health;
-  const NodeState& node = it->second;
+  if (id < 0 || id >= static_cast<int>(nodes_.size())) return health;
+  const NodeState& node = nodes_[static_cast<std::size_t>(id)];
+  if (!node.known) return health;
   health.known = true;
   health.factor = node.factor;
   health.egress_ewma = node.egress.value();
@@ -99,24 +98,89 @@ NodeHealth Controller::node_health(int id) const {
   return health;
 }
 
+int Controller::check_inputs(const TickInputs& inputs) const {
+  if (!std::isfinite(inputs.now) || (ticks_ > 0 && !(inputs.now > last_now_))) {
+    throw std::invalid_argument(
+        "Controller::tick: now must be finite and increase");
+  }
+  int max_id = -1;  // the last node id so far, then raised by the edges
+  for (const NodeSample& sample : inputs.nodes) {
+    if (sample.id < 0) {
+      throw std::invalid_argument("Controller::tick: negative node id");
+    }
+    if (sample.id <= max_id) {
+      throw std::invalid_argument(
+          "Controller::tick: nodes not strictly ascending by id");
+    }
+    max_id = sample.id;
+  }
+  const EdgeSample* last = nullptr;
+  for (const EdgeSample& sample : inputs.edges) {
+    if (sample.from < 0 || sample.to < 0) {
+      throw std::invalid_argument("Controller::tick: negative edge endpoint");
+    }
+    if (last != nullptr &&
+        std::make_pair(sample.from, sample.to) <=
+            std::make_pair(last->from, last->to)) {
+      throw std::invalid_argument(
+          "Controller::tick: edges not strictly ascending by (from, to)");
+    }
+    last = &sample;
+    max_id = std::max({max_id, sample.from, sample.to});
+  }
+  return max_id;
+}
+
+std::size_t Controller::edge_index(int from, int to, std::size_t& cursor) {
+  auto& out = out_[static_cast<std::size_t>(from)];
+  while (cursor < out.size() && out[cursor].first < to) ++cursor;
+  if (cursor < out.size() && out[cursor].first == to) {
+    return out[cursor].second;
+  }
+  EdgeState fresh;
+  fresh.from = from;
+  fresh.to = to;
+  fresh.health = HysteresisDetector(config_.edge);
+  edges_.push_back(std::move(fresh));
+  out.insert(out.begin() + static_cast<std::ptrdiff_t>(cursor),
+             std::make_pair(to, edges_.size() - 1));
+  return edges_.size() - 1;
+}
+
 Directive Controller::tick(const TickInputs& inputs) {
+  const int max_id = check_inputs(inputs);
+  last_now_ = inputs.now;
   ++ticks_;
   Directive out;
 
-  // ---- ingest per-edge telemetry; aggregate goodput per sender ----------
+  const auto ids = static_cast<std::size_t>(max_id + 1);
+  if (nodes_.size() < ids) nodes_.resize(ids);
+  if (out_.size() < ids) out_.resize(ids);
+  if (acc_.size() < ids) {
+    acc_.resize(ids);
+    adjacent_.resize(ids);
+    frozen_.resize(ids);
+    dark_.resize(ids);
+  }
+  const auto clear = [this](int id) {
+    const auto i = static_cast<std::size_t>(id);
+    acc_[i] = SenderAcc();
+    adjacent_[i] = 0;
+    frozen_[i] = 0;
+    dark_[i] = 0;
+  };
+  for (const NodeSample& sample : inputs.nodes) clear(sample.id);
+  for (const EdgeSample& sample : inputs.edges) {
+    clear(sample.from);
+    clear(sample.to);
+  }
+
+  // ---- ingest per-edge telemetry -----------------------------------------
   // Node-level egress health aggregates the raw deltas across *all* of a
   // sender's pipes before judging: a browned-out node whose upload is
   // spread over many thin pipes still accumulates enough transmissions per
   // window at the node level, where each pipe alone would be unjudgeable.
-  struct SenderAcc {
-    double completed = 0.0;
-    double busy = 0.0;
-    double busy_rate = 0.0;  ///< sum of busy_i x rate_i (expected data)
-    double planned = 0.0;    ///< sum of active pipe rates (egress load)
-    std::uint64_t sent = 0;
-    std::uint64_t lost = 0;
-  };
-  std::map<int, SenderAcc> by_sender;
+  //
   // Stale-telemetry detection is node-centric: the collector substitutes a
   // whole node's sample set at once (its node counters plus every adjacent
   // edge), so an edge only counts as stale when one of its *endpoints* is a
@@ -124,27 +188,17 @@ Directive Controller::tick(const TickInputs& inputs) {
   // whole window leaves both sent and attempts at zero — still has a live
   // endpoint (deliveries or sibling pipes moving) and must keep weighing on
   // its sender's egress ratio, or a deep brownout would read as health.
-  struct EdgeWork {
-    const EdgeSample* sample = nullptr;
-    EdgeState* edge = nullptr;
-    double busy_delta = 0.0;
-    double completed_delta = 0.0;
-    std::uint64_t sent_delta = 0;
-    std::uint64_t lost_delta = 0;
-  };
-  std::vector<EdgeWork> edge_work;
-  edge_work.reserve(inputs.edges.size());
-  std::map<int, int> adjacent_edges;
-  std::map<int, int> frozen_edges;
+  work_.clear();
+  int cursor_from = -1;
+  std::size_t cursor = 0;
   for (const EdgeSample& sample : inputs.edges) {
-    const auto key = std::make_pair(sample.from, sample.to);
-    auto edge_it = edges_.find(key);
-    if (edge_it == edges_.end()) {
-      EdgeState fresh;
-      fresh.health = HysteresisDetector(config_.edge);
-      edge_it = edges_.emplace(key, std::move(fresh)).first;
+    if (sample.from != cursor_from) {
+      cursor_from = sample.from;
+      cursor = 0;
     }
-    EdgeState& edge = edge_it->second;
+    EdgeWork work;
+    work.edge = edge_index(sample.from, sample.to, cursor);
+    EdgeState& edge = edges_[work.edge];
     edge.tripped = false;
     double busy_delta = sample.busy_time - edge.prev_busy;
     double completed_delta = sample.completed - edge.prev_completed;
@@ -171,20 +225,17 @@ Directive Controller::tick(const TickInputs& inputs) {
     // attempts standing still together is this edge's staleness vote for
     // its endpoints. The vote alone proves nothing — see the census below.
     const bool frozen = sent_delta == 0 && attempts_delta == 0;
-    ++adjacent_edges[sample.from];
-    ++adjacent_edges[sample.to];
+    ++adjacent_[static_cast<std::size_t>(sample.from)];
+    ++adjacent_[static_cast<std::size_t>(sample.to)];
     if (frozen) {
-      ++frozen_edges[sample.from];
-      ++frozen_edges[sample.to];
+      ++frozen_[static_cast<std::size_t>(sample.from)];
+      ++frozen_[static_cast<std::size_t>(sample.to)];
     }
-    EdgeWork work;
-    work.sample = &sample;
-    work.edge = &edge;
     work.busy_delta = busy_delta;
     work.completed_delta = completed_delta;
     work.sent_delta = sent_delta;
     work.lost_delta = lost_delta;
-    edge_work.push_back(work);
+    work_.push_back(work);
   }
 
   // ---- stale-node census ------------------------------------------------
@@ -192,32 +243,32 @@ Directive Controller::tick(const TickInputs& inputs) {
   // progress and every adjacent pipe frozen. "No data" is not "data says
   // zero" — dark windows update no estimator and trip no detector, so a
   // telemetry blackout cannot manufacture a brownout.
-  std::map<int, double> delivered_deltas;
-  std::set<int> dark;
-  for (const NodeSample& sample : inputs.nodes) {
-    auto node_it = nodes_.find(sample.id);
-    if (node_it == nodes_.end()) {
-      NodeState fresh;
-      fresh.straggler = HysteresisDetector(config_.straggler);
-      fresh.egress_health = HysteresisDetector(config_.egress);
-      node_it = nodes_.emplace(sample.id, std::move(fresh)).first;
+  delivered_.resize(inputs.nodes.size());
+  for (std::size_t k = 0; k < inputs.nodes.size(); ++k) {
+    const NodeSample& sample = inputs.nodes[k];
+    const auto id = static_cast<std::size_t>(sample.id);
+    NodeState& node = nodes_[id];
+    if (!node.known) {
+      node.known = true;
+      node.straggler = HysteresisDetector(config_.straggler);
+      node.egress_health = HysteresisDetector(config_.egress);
     }
-    NodeState& node = node_it->second;
     double delivered_delta = sample.delivered - node.prev_delivered;
     if (delivered_delta < 0.0) delivered_delta = sample.delivered;
     node.prev_delivered = sample.delivered;
-    delivered_deltas.emplace(sample.id, delivered_delta);
-    const auto adj_it = adjacent_edges.find(sample.id);
-    if (adj_it != adjacent_edges.end() && delivered_delta <= 0.0 &&
-        frozen_edges[sample.id] == adj_it->second) {
-      dark.insert(sample.id);
+    delivered_[k] = delivered_delta;
+    if (adjacent_[id] > 0 && delivered_delta <= 0.0 &&
+        frozen_[id] == adjacent_[id]) {
+      dark_[id] = 1;
     }
   }
 
-  for (const EdgeWork& work : edge_work) {
-    const EdgeSample& sample = *work.sample;
-    EdgeState& edge = *work.edge;
-    if (dark.count(sample.from) != 0 || dark.count(sample.to) != 0) {
+  for (std::size_t j = 0; j < inputs.edges.size(); ++j) {
+    const EdgeSample& sample = inputs.edges[j];
+    const EdgeWork& work = work_[j];
+    EdgeState& edge = edges_[work.edge];
+    if (dark_[static_cast<std::size_t>(sample.from)] != 0 ||
+        dark_[static_cast<std::size_t>(sample.to)] != 0) {
       ++edge.stale_windows;
       ++out.stale_edges;
       if (edge.health.degraded()) ++out.degraded_edges;
@@ -231,7 +282,7 @@ Directive Controller::tick(const TickInputs& inputs) {
     }
     edge.stale_windows = 0;
     if (sample.rate > 0.0 && inputs.window > 0.0) {
-      SenderAcc& acc = by_sender[sample.from];
+      SenderAcc& acc = acc_[static_cast<std::size_t>(sample.from)];
       acc.completed += work.completed_delta;
       acc.busy += work.busy_delta;
       acc.busy_rate += work.busy_delta * sample.rate;
@@ -266,13 +317,14 @@ Directive Controller::tick(const TickInputs& inputs) {
   }
 
   // ---- ingest per-node telemetry ----------------------------------------
-  std::vector<std::pair<int, double>> judged;  // (id, raw window ratio)
-  for (const NodeSample& sample : inputs.nodes) {
-    NodeState& node = nodes_.find(sample.id)->second;
+  judged_.clear();
+  for (std::size_t k = 0; k < inputs.nodes.size(); ++k) {
+    const NodeSample& sample = inputs.nodes[k];
+    const auto id = static_cast<std::size_t>(sample.id);
+    NodeState& node = nodes_[id];
     node.egress_tripped = false;
     node.straggler_tripped = false;
-    const double delivered_delta = delivered_deltas[sample.id];
-    if (dark.count(sample.id) != 0) {
+    if (dark_[id] != 0) {
       ++node.stale_windows;
       ++out.stale_nodes;
       continue;  // the stragglers census below still sees the node
@@ -284,9 +336,8 @@ Directive Controller::tick(const TickInputs& inputs) {
       node.sustained = Ewma();
     }
     node.stale_windows = 0;
-    const auto acc_it = by_sender.find(sample.id);
-    if (acc_it != by_sender.end() && acc_it->second.busy_rate > 0.0) {
-      const SenderAcc& acc = acc_it->second;
+    const SenderAcc& acc = acc_[id];
+    if (acc.busy_rate > 0.0) {
       if (acc.sent >= static_cast<std::uint64_t>(config_.min_edge_sends)) {
         node.loss.observe(static_cast<double>(acc.lost) /
                               static_cast<double>(acc.sent),
@@ -319,21 +370,20 @@ Directive Controller::tick(const TickInputs& inputs) {
     if (sample.judgeable && inputs.window > 0.0 &&
         inputs.expected_delta >=
             config_.min_expected_chunks * inputs.chunk_size) {
-      judged.emplace_back(sample.id, delivered_delta / inputs.expected_delta);
+      judged_.emplace_back(k, delivered_[k] / inputs.expected_delta);
     }
   }
   // Cohort-relative straggling: normalize each node's window ratio by the
   // median ratio, so the chunk engine's generic few-percent slack under
   // the fluid plan cancels out and only *relative* victims trip.
-  if (!judged.empty()) {
-    std::vector<double> ratios;
-    ratios.reserve(judged.size());
-    for (const auto& [id, ratio] : judged) ratios.push_back(ratio);
-    std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
-                     ratios.end());
-    const double median = std::max(ratios[ratios.size() / 2], 1e-9);
-    for (const auto& [id, ratio] : judged) {
-      NodeState& node = nodes_.find(id)->second;
+  if (!judged_.empty()) {
+    ratios_.clear();
+    for (const auto& [k, ratio] : judged_) ratios_.push_back(ratio);
+    std::nth_element(ratios_.begin(), ratios_.begin() + ratios_.size() / 2,
+                     ratios_.end());
+    const double median = std::max(ratios_[ratios_.size() / 2], 1e-9);
+    for (const auto& [k, ratio] : judged_) {
+      NodeState& node = nodes_[static_cast<std::size_t>(inputs.nodes[k].id)];
       // Catch-up bursts are capped: being twice ahead this window must
       // not bank credit against falling behind later.
       const double normalized = std::min(ratio / median, 2.0);
@@ -347,13 +397,15 @@ Directive Controller::tick(const TickInputs& inputs) {
     }
   }
   for (const NodeSample& sample : inputs.nodes) {
-    if (nodes_.find(sample.id)->second.straggler.degraded()) ++out.stragglers;
+    if (nodes_[static_cast<std::size_t>(sample.id)].straggler.degraded()) {
+      ++out.stragglers;
+    }
   }
 
   // ---- decide: demotions and restores (ascending node id) ---------------
   const double step = 1.0 / static_cast<double>(config_.capacity_classes);
   for (const NodeSample& sample : inputs.nodes) {
-    NodeState& node = nodes_.find(sample.id)->second;
+    NodeState& node = nodes_[static_cast<std::size_t>(sample.id)];
     if (node.pardon_from >= 0.0) {
       // A forgive() pardon outranks everything else this window: lift the
       // demotion in one step (the probes' doubling climb is for *suspected*
@@ -378,7 +430,9 @@ Directive Controller::tick(const TickInputs& inputs) {
       // No actions from frozen windows — neither demotions (no evidence of
       // degradation) nor restore probes (no telemetry to judge the probe).
       // The current override set is carried unchanged.
-      if (node.factor < 1.0) out.factors.emplace(sample.id, node.factor);
+      if (node.factor < 1.0) {
+        out.factors.emplace_hint(out.factors.end(), sample.id, node.factor);
+      }
       continue;
     }
     // Actions fire on detector *transitions* — one demote per trip — plus
@@ -470,13 +524,15 @@ Directive Controller::tick(const TickInputs& inputs) {
         ++out.restores;
       }
     }
-    if (node.factor < 1.0) out.factors.emplace(sample.id, node.factor);
+    if (node.factor < 1.0) {
+      out.factors.emplace_hint(out.factors.end(), sample.id, node.factor);
+    }
   }
 
   // ---- decide: reroutes around degraded edges ---------------------------
-  for (const EdgeSample& sample : inputs.edges) {
-    EdgeState& edge =
-        edges_.find(std::make_pair(sample.from, sample.to))->second;
+  for (std::size_t j = 0; j < inputs.edges.size(); ++j) {
+    const EdgeSample& sample = inputs.edges[j];
+    EdgeState& edge = edges_[work_[j].edge];
     if (edge.stale_windows > 0) continue;  // no clamps from frozen windows
     if (!edge.health.degraded()) continue;
     // A demoted sender is already being routed around as a whole.

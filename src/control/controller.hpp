@@ -20,11 +20,15 @@
 //   * a demoted node whose detectors recover is *restored* (its class
 //     raised back to the telemetry estimate), on a longer cooldown.
 //
-// Every decision is a pure function of the sample stream: ordered maps,
-// no clocks, no randomness — identical inputs give identical directives on
+// Every decision is a pure function of the sample stream: tick() walks its
+// inputs in their required ascending order (nodes by id, edges by
+// (from, to)), keeps its state in flat id-indexed storage, and uses no
+// clocks and no randomness — identical inputs give identical directives on
 // any thread count, which the determinism tests replay to the byte.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <tuple>
 #include <utility>
@@ -178,8 +182,10 @@ class Controller {
   explicit Controller(ControllerConfig config = {});
 
   /// One sampling boundary: ingest cumulative telemetry, update detectors,
-  /// decide. Inputs must be ordered (ascending id / (from, to)) and `now`
-  /// strictly increasing across calls.
+  /// decide. Throws std::invalid_argument (and changes nothing) unless
+  /// `nodes` are strictly ascending by id, `edges` strictly ascending by
+  /// (from, to), every id is >= 0 and `now` is later than the previous
+  /// tick's.
   Directive tick(const TickInputs& inputs);
 
   [[nodiscard]] const ControllerConfig& config() const { return config_; }
@@ -200,6 +206,7 @@ class Controller {
 
  private:
   struct NodeState {
+    bool known = false;  ///< sampled at least once (else factor 1, no state)
     Ewma egress;        ///< goodput ratio of the node's egress pipes
     Ewma loss;          ///< egress loss fraction (well-sampled windows only)
     Ewma sustained;     ///< delivered / expected ratio
@@ -230,6 +237,8 @@ class Controller {
     int stale_windows = 0;
   };
   struct EdgeState {
+    int from = -1;
+    int to = -1;
     Ewma goodput;
     Ewma loss;  ///< loss fraction (well-sampled windows only)
     double last_raw = 1.0;  ///< last raw per-window goodput ratio
@@ -243,12 +252,51 @@ class Controller {
     std::uint64_t prev_attempts = 0;
     int stale_windows = 0;  ///< consecutive frozen windows on this pipe
   };
+  /// One window's egress totals of a sender across its live pipes.
+  struct SenderAcc {
+    double completed = 0.0;
+    double busy = 0.0;
+    double busy_rate = 0.0;  ///< sum of busy_i x rate_i (expected data)
+    double planned = 0.0;    ///< sum of active pipe rates (egress load)
+    std::uint64_t sent = 0;
+    std::uint64_t lost = 0;
+  };
+  /// One edge sample's deltas this window, parallel to inputs.edges.
+  struct EdgeWork {
+    std::size_t edge = 0;  ///< index into edges_
+    double busy_delta = 0.0;
+    double completed_delta = 0.0;
+    std::uint64_t sent_delta = 0;
+    std::uint64_t lost_delta = 0;
+  };
 
   [[nodiscard]] double quantize(double value) const;
+  /// Throws unless `inputs` keep tick()'s contract; returns the largest id.
+  [[nodiscard]] int check_inputs(const TickInputs& inputs) const;
+  /// The state of edge (from, to), created on first sight. `cursor` walks
+  /// out_[from] forward across one sender's ascending run of samples.
+  [[nodiscard]] std::size_t edge_index(int from, int to, std::size_t& cursor);
 
   ControllerConfig config_;
-  std::map<int, NodeState> nodes_;
-  std::map<std::pair<int, int>, EdgeState> edges_;
+  /// Per stable node id (dense: ids are the host's small population ids).
+  std::vector<NodeState> nodes_;
+  /// Every edge ever sampled, in first-seen order. A vanished pipe keeps
+  /// its state, so a reappearing one differences against its last counters
+  /// (or restarts, when a resplice reset them).
+  std::vector<EdgeState> edges_;
+  /// Per sender id: (to, index into edges_), ascending by `to`.
+  std::vector<std::vector<std::pair<int, std::size_t>>> out_;
+  // Per-tick scratch, reused across ticks. The id-indexed entries a tick
+  // reads are zeroed for exactly the ids in its inputs before use.
+  std::vector<SenderAcc> acc_;        ///< per sender id
+  std::vector<int> adjacent_;         ///< per id: sampled adjacent edges
+  std::vector<int> frozen_;           ///< per id: frozen adjacent edges
+  std::vector<char> dark_;            ///< per id: stale this window
+  std::vector<double> delivered_;     ///< per node sample: delivered delta
+  std::vector<EdgeWork> work_;        ///< per edge sample
+  std::vector<std::pair<std::size_t, double>> judged_;  ///< (sample, ratio)
+  std::vector<double> ratios_;
+  double last_now_ = 0.0;
   int ticks_ = 0;
 };
 

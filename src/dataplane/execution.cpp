@@ -346,29 +346,47 @@ void Execution::set_node_budget(int id, double budget) {
   node_at(id, "Execution::set_node_budget").budget = budget;
 }
 
+int Execution::pipe_slot(int from, int to) const {
+  if (from < 0 || from >= static_cast<int>(nodes_.size())) return -1;
+  const std::vector<int>& out = nodes_[static_cast<std::size_t>(from)].out;
+  const auto it = std::lower_bound(
+      out.begin(), out.end(), to, [this](int slot, int receiver) {
+        return pipes_[static_cast<std::size_t>(slot)].to < receiver;
+      });
+  if (it == out.end() || pipes_[static_cast<std::size_t>(*it)].to != to) {
+    return -1;
+  }
+  return *it;
+}
+
 void Execution::set_edge(int from, int to, double rate) {
   if (from == to) {
     throw std::invalid_argument("Execution::set_edge: self-loop");
   }
-  const auto key = std::make_pair(from, to);
-  const auto it = pipe_of_.find(key);
+  const int slot = pipe_slot(from, to);
   if (rate <= kMinRate) {
-    if (it == pipe_of_.end()) return;
-    const int slot = it->second;
+    if (slot < 0) return;
     const int receiver = pipes_[static_cast<std::size_t>(slot)].to;
     remove_pipe(slot);
     activate_receiver(receiver);
     return;
   }
+  put_pipe(slot, from, to, rate);
+}
+
+void Execution::put_pipe(int slot, int from, int to, double rate) {
+  if (slot < 0 && from == to) {
+    throw std::invalid_argument("Execution::set_edge: self-loop");
+  }
   if (!std::isfinite(rate)) {
     throw std::invalid_argument("Execution::set_edge: rate must be finite");
   }
-  if (it != pipe_of_.end()) {
+  if (slot >= 0) {
     // Re-rate in place; an in-flight transmission keeps its old timing, the
     // next one uses the new rate — unless the new rate is sharply higher,
     // in which case the slow transmission is cancelled (reservations
     // released, chunks re-requested) and the pipe restarts immediately.
-    Pipe& pipe = pipes_[static_cast<std::size_t>(it->second)];
+    Pipe& pipe = pipes_[static_cast<std::size_t>(slot)];
     const bool restart =
         pipe.busy && rate > pipe.rate * kRerateRestartFactor;
     nodes_[static_cast<std::size_t>(pipe.from)].planned_out +=
@@ -384,7 +402,7 @@ void Execution::set_edge(int from, int to, double rate) {
       pipe.busy = false;
       pipe.pending_duration = 0.0;
       const int receiver = pipe.to;
-      try_send(it->second);
+      try_send(slot);
       // The released window slots may unblock other in-pipes too.
       activate_receiver(receiver);
     }
@@ -395,7 +413,6 @@ void Execution::set_edge(int from, int to, double rate) {
   if (!sender.alive || !receiver.alive) {
     throw std::invalid_argument("Execution::set_edge: endpoint is dead");
   }
-  int slot;
   if (!free_pipes_.empty()) {
     slot = free_pipes_.back();
     free_pipes_.pop_back();
@@ -422,7 +439,6 @@ void Execution::set_edge(int from, int to, double rate) {
   // One independent, replay-stable loss stream per pipe creation: the
   // stream index is a deterministic function of the operation sequence.
   pipe.rng = util::Xoshiro256(config_.seed).fork(++pipe_streams_);
-  pipe_of_.emplace(key, slot);
   sender.planned_out += rate;
   sender.out.insert(
       std::upper_bound(sender.out.begin(), sender.out.end(), slot,
@@ -443,21 +459,52 @@ void Execution::set_edge(int from, int to, double rate) {
 
 void Execution::reconcile_edges(
     const std::vector<std::tuple<int, int, double>>& desired) {
-  std::map<std::pair<int, int>, double> want;
-  for (const auto& [from, to, rate] : desired) {
-    if (rate > kMinRate) want[std::make_pair(from, to)] = rate;
+  // The wanted set in (from, to) order; a repeated key keeps its last
+  // positive rate.
+  std::vector<std::tuple<int, int, double>> want;
+  want.reserve(desired.size());
+  for (const auto& edge : desired) {
+    if (std::get<2>(edge) > kMinRate) want.push_back(edge);
   }
+  const auto key_less = [](const std::tuple<int, int, double>& a,
+                           const std::tuple<int, int, double>& b) {
+    return std::get<0>(a) < std::get<0>(b) ||
+           (std::get<0>(a) == std::get<0>(b) && std::get<1>(a) < std::get<1>(b));
+  };
+  std::stable_sort(want.begin(), want.end(), key_less);
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    if (k + 1 < want.size() && !key_less(want[k], want[k + 1])) continue;
+    want[kept++] = want[k];
+  }
+  want.resize(kept);
+  // Merge against the live pipes, which every sender's out list holds in
+  // ascending receiver order: a pipe nobody wants is doomed, a wanted key
+  // resolves to its live slot (or -1: new).
+  std::vector<int> slot_of(want.size(), -1);
   std::vector<int> doomed;
-  for (const auto& [key, slot] : pipe_of_) {
-    if (want.find(key) == want.end()) doomed.push_back(slot);
+  std::size_t w = 0;
+  for (std::size_t from = 0; from < nodes_.size(); ++from) {
+    for (const int slot : nodes_[from].out) {
+      const auto key = std::make_tuple(static_cast<int>(from),
+                                       pipes_[static_cast<std::size_t>(slot)].to,
+                                       0.0);
+      while (w < want.size() && key_less(want[w], key)) ++w;
+      if (w < want.size() && !key_less(key, want[w])) {
+        slot_of[w++] = slot;
+      } else {
+        doomed.push_back(slot);
+      }
+    }
   }
   std::vector<int> wake;
   for (const int slot : doomed) {
     wake.push_back(pipes_[static_cast<std::size_t>(slot)].to);
     remove_pipe(slot);
   }
-  for (const auto& [key, rate] : want) {
-    set_edge(key.first, key.second, rate);
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    const auto& [from, to, rate] = want[k];
+    put_pipe(slot_of[k], from, to, rate);
   }
   for (const int receiver : wake) {
     if (nodes_[static_cast<std::size_t>(receiver)].alive) {
@@ -534,24 +581,26 @@ const LinkProfile& Execution::profile_for(const Pipe& pipe) const {
 
 void Execution::edge_stats_into(std::vector<EdgeStats>& out) const {
   out.clear();
-  out.reserve(pipe_of_.size());
-  for (const auto& [key, slot] : pipe_of_) {
-    const Pipe& pipe = pipes_[static_cast<std::size_t>(slot)];
-    EdgeStats entry;
-    entry.from = key.first;
-    entry.to = key.second;
-    entry.rate = pipe.rate;
-    entry.busy_time = pipe.busy_time;
-    entry.completed = pipe.completed;
-    entry.sent = pipe.sent;
-    entry.delivered = pipe.delivered;
-    entry.lost = pipe.lost;
-    entry.busy = pipe.busy;
-    entry.pending_duration = pipe.busy ? pipe.pending_duration : 0.0;
-    entry.attempts = pipe.attempts;
-    entry.window_stalls = pipe.window_stalls;
-    entry.no_chunk = pipe.no_chunk;
-    out.push_back(entry);
+  out.reserve(static_cast<std::size_t>(num_pipes()));
+  for (const Node& node : nodes_) {
+    for (const int slot : node.out) {
+      const Pipe& pipe = pipes_[static_cast<std::size_t>(slot)];
+      EdgeStats entry;
+      entry.from = pipe.from;
+      entry.to = pipe.to;
+      entry.rate = pipe.rate;
+      entry.busy_time = pipe.busy_time;
+      entry.completed = pipe.completed;
+      entry.sent = pipe.sent;
+      entry.delivered = pipe.delivered;
+      entry.lost = pipe.lost;
+      entry.busy = pipe.busy;
+      entry.pending_duration = pipe.busy ? pipe.pending_duration : 0.0;
+      entry.attempts = pipe.attempts;
+      entry.window_stalls = pipe.window_stalls;
+      entry.no_chunk = pipe.no_chunk;
+      out.push_back(entry);
+    }
   }
 }
 
@@ -571,7 +620,6 @@ void Execution::remove_pipe(int slot) {
   pipe.active = false;
   pipe.busy = false;
   nodes_[static_cast<std::size_t>(pipe.from)].planned_out -= pipe.rate;
-  pipe_of_.erase(std::make_pair(pipe.from, pipe.to));
   auto detach = [slot](std::vector<int>& list) {
     list.erase(std::remove(list.begin(), list.end(), slot), list.end());
   };
@@ -1173,13 +1221,15 @@ std::vector<std::string> Execution::validate(double tol) const {
   std::vector<double> planned(nodes_.size(), 0.0);
   std::vector<int> copies_toward(nodes_.size(), 0);
   std::map<std::pair<int, int>, int> copies;  // (receiver, chunk) -> count
-  for (const auto& [key, slot] : pipe_of_) {
-    const Pipe& pipe = pipes_[static_cast<std::size_t>(slot)];
-    if (pipe.busy) active[static_cast<std::size_t>(key.first)] += pipe.rate;
-    planned[static_cast<std::size_t>(key.first)] += pipe.rate;
-    for (const int chunk : pipe.in_flight) {
-      ++copies_toward[static_cast<std::size_t>(key.second)];
-      ++copies[std::make_pair(key.second, chunk)];
+  for (const Node& node : nodes_) {
+    for (const int slot : node.out) {
+      const Pipe& pipe = pipes_[static_cast<std::size_t>(slot)];
+      if (pipe.busy) active[static_cast<std::size_t>(pipe.from)] += pipe.rate;
+      planned[static_cast<std::size_t>(pipe.from)] += pipe.rate;
+      for (const int chunk : pipe.in_flight) {
+        ++copies_toward[static_cast<std::size_t>(pipe.to)];
+        ++copies[std::make_pair(pipe.to, chunk)];
+      }
     }
   }
   std::vector<std::string> violations;

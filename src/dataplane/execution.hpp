@@ -270,7 +270,10 @@ class Execution {
   /// Diffs the live pipe set against `desired` {from, to, rate}: missing
   /// pipes are added, absent ones removed, rates updated — in-flight
   /// transmissions on surviving pipes are untouched. This is how a repaired
-  /// or rescaled overlay splices in without restarting the stream.
+  /// or rescaled overlay splices in without restarting the stream. One
+  /// sorted merge against the senders' `out` lists: removals first, then
+  /// adds and re-rates, each in (from, to) order; a key listed twice keeps
+  /// its last rate above zero.
   void reconcile_edges(const std::vector<std::tuple<int, int, double>>& desired);
   /// Live emission-rate change (renegotiation). A no-op when unchanged;
   /// otherwise the next emission is rescheduled at the new cadence.
@@ -317,7 +320,9 @@ class Execution {
   [[nodiscard]] int emitted() const { return emitted_; }
   [[nodiscard]] int num_nodes() const { return static_cast<int>(nodes_.size()); }
   [[nodiscard]] int alive_nodes() const { return alive_nodes_; }
-  [[nodiscard]] int num_pipes() const { return static_cast<int>(pipe_of_.size()); }
+  [[nodiscard]] int num_pipes() const {
+    return static_cast<int>(pipes_.size() - free_pipes_.size());
+  }
   [[nodiscard]] bool node_alive(int id) const;
   [[nodiscard]] int delivered(int id) const;
   [[nodiscard]] double completion_time(int id) const;
@@ -481,6 +486,12 @@ class Execution {
   void try_send(int pipe_slot);
   void activate_sender(int node_id);
   void activate_receiver(int node_id);
+  /// The live (from, to) pipe's slot, by binary search of the sender's
+  /// `out` list; -1 when there is none.
+  [[nodiscard]] int pipe_slot(int from, int to) const;
+  /// Re-rates live pipe `slot`, or adds (from, to) at `rate` when slot < 0
+  /// (set_edge's checks and semantics; `rate` > kMinRate).
+  void put_pipe(int slot, int from, int to, double rate);
   void remove_pipe(int pipe_slot);
   /// Drops one cancelled transmission's reservation + window slot on a
   /// live receiver so the chunk is re-requested elsewhere.
@@ -502,11 +513,13 @@ class Execution {
 
   std::vector<Node> nodes_;
   int alive_nodes_ = 0;
+  /// Pipe slots; the live ones are indexed by their sender's `out` list
+  /// (ascending receiver), so walking nodes_ in id order visits every live
+  /// pipe in (from, to) order. A freed slot goes to free_pipes_ and is
+  /// recycled last-freed first.
   std::vector<Pipe> pipes_;
   std::vector<int> free_pipes_;
   std::uint64_t pipe_streams_ = 0;  ///< loss-stream index of the next pipe
-  /// (from, to) -> pipe slot; ordered so reconcile diffs deterministically.
-  std::map<std::pair<int, int>, int> pipe_of_;
 
   std::vector<double> emit_time_;  ///< per chunk, for latency measurement
   std::vector<int> replicas_;      ///< per chunk, alive holders (rarest-first)

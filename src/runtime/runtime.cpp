@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -65,6 +66,13 @@ engine::PlannerConfig with_obs(engine::PlannerConfig planner,
 }
 
 }  // namespace
+
+int Runtime::Channel::dp_of(int rid) const {
+  const auto it = std::lower_bound(
+      dp_of_node.begin(), dp_of_node.end(), rid,
+      [](const std::pair<int, int>& row, int id) { return row.first < id; });
+  return it != dp_of_node.end() && it->first == rid ? it->second : -1;
+}
 
 Runtime::Runtime(RuntimeConfig config, double source_bandwidth,
                  const std::vector<NodeSpec>& initial_peers)
@@ -643,6 +651,7 @@ void Runtime::apply_departures(const std::set<int>& departed, double when) {
   for (auto& [id, channel] : channels_) {
     (void)id;
     for (const int node : departed) channel.node_memo.erase(node);
+    channel.layout = {};  // its memo pointers may dangle now
     for (auto it = channel.edge_memo.begin(); it != channel.edge_memo.end();) {
       const auto from = static_cast<int>(it->first >> 32);
       const auto to = static_cast<int>(it->first & 0xffffffffu);
@@ -736,19 +745,19 @@ void Runtime::on_degrade(const Event& event) {
     for (const Degradation& degrade : event.degrades) {
       const Node& info = nodes_[static_cast<std::size_t>(degrade.node)];
       if (!info.alive) continue;
-      const auto it = channel.dp_of_node.find(degrade.node);
-      if (it == channel.dp_of_node.end()) continue;
+      const int dp = channel.dp_of(degrade.node);
+      if (dp < 0) continue;
       if (degrade.set_factor) {
         channel.execution->set_effective_capacity(
-            it->second, info.capacity_factor < 1.0
-                            ? info.capacity_factor * info.bandwidth *
-                                  channel.grant.fraction
-                            : -1.0);
+            dp, info.capacity_factor < 1.0
+                    ? info.capacity_factor * info.bandwidth *
+                          channel.grant.fraction
+                    : -1.0);
       }
       if (degrade.set_profile) {
-        channel.execution->set_egress_profile(it->second, degrade.profile);
+        channel.execution->set_egress_profile(dp, degrade.profile);
       } else if (degrade.clear_profile) {
-        channel.execution->set_egress_profile(it->second, defaults);
+        channel.execution->set_egress_profile(dp, defaults);
       }
     }
   }
@@ -821,10 +830,8 @@ void Runtime::on_fault(const Event& event) {
         for (auto& [id, channel] : channels_) {
           (void)id;
           if (!channel.execution) continue;
-          const auto it = channel.dp_of_node.find(fault.node);
-          if (it != channel.dp_of_node.end()) {
-            channel.execution->crash_node(it->second);
-          }
+          const int dp = channel.dp_of(fault.node);
+          if (dp >= 0) channel.execution->crash_node(dp);
         }
         note(fault, "node=" + std::to_string(fault.node));
         if (config_.fault.detect_crashes &&
@@ -846,10 +853,8 @@ void Runtime::on_fault(const Event& event) {
           for (auto& [id, channel] : channels_) {
             (void)id;
             if (!channel.execution) continue;
-            const auto it = channel.dp_of_node.find(node);
-            if (it != channel.dp_of_node.end()) {
-              channel.execution->set_partition_group(it->second, fault.group);
-            }
+            const int dp = channel.dp_of(node);
+            if (dp >= 0) channel.execution->set_partition_group(dp, fault.group);
           }
         }
         note(fault, "group=" + std::to_string(fault.group) +
@@ -897,10 +902,8 @@ void Runtime::on_fault(const Event& event) {
         for (auto& [id, channel] : channels_) {
           (void)id;
           if (!channel.execution) continue;
-          const auto it = channel.dp_of_node.find(fault.node);
-          if (it != channel.dp_of_node.end()) {
-            channel.execution->set_corrupt_rate(it->second, info.corrupt_rate);
-          }
+          const int dp = channel.dp_of(fault.node);
+          if (dp >= 0) channel.execution->set_corrupt_rate(dp, info.corrupt_rate);
         }
         note(fault, "node=" + std::to_string(fault.node) +
                         " rate=" + std::to_string(info.corrupt_rate));
@@ -1053,14 +1056,6 @@ void Runtime::control_tick(double t) {
     }
     ++*hot_.control_samples;
 
-    control::TickInputs inputs;
-    inputs.now = t;
-    inputs.window = t - channel.last_control_time;
-    channel.last_control_time = t;
-    inputs.expected_delta = channel.control_expected;
-    inputs.chunk_size = chunk;
-    channel.control_expected = 0.0;
-
     // Crash detection. A crashed peer sends no leave event, but its
     // signature is unmistakable: delivered stands still and every adjacent
     // pipe's attempts + sent counters freeze (try_send bails on a dead
@@ -1075,11 +1070,21 @@ void Runtime::control_tick(double t) {
     read_frame(channel);
     if (watch_crashes) frame_.activity.assign(nodes_.size(), 0);
 
-    // Per-edge samples, re-sorted by runtime ids so the controller's
-    // iteration order is stable. The controller sees a blacked-out
-    // endpoint's edges frozen at their last observed sample; the crash
-    // detector and the heavy hitters read the raw row.
-    for (const dataplane::EdgeStats& stats : frame_.edges) {
+    // Per-edge samples in ascending runtime-id order (the layout's sort).
+    // The controller sees a blacked-out endpoint's edges frozen at their
+    // last observed sample; the crash detector and the heavy hitters read
+    // the raw row.
+    control::TickInputs& inputs = frame_.inputs;
+    inputs.nodes.clear();
+    inputs.edges.clear();
+    inputs.now = t;
+    inputs.window = t - channel.last_control_time;
+    channel.last_control_time = t;
+    inputs.expected_delta = channel.control_expected;
+    inputs.chunk_size = chunk;
+    channel.control_expected = 0.0;
+    for (const std::uint32_t row : channel.layout.order) {
+      const dataplane::EdgeStats& stats = frame_.edges[row];
       const auto from = static_cast<std::size_t>(stats.from);
       const auto to = static_cast<std::size_t>(stats.to);
       if (watch_crashes) {
@@ -1090,7 +1095,7 @@ void Runtime::control_tick(double t) {
           stats.from,      stats.to,   stats.rate, stats.busy_time,
           stats.completed, stats.sent, stats.lost, stats.attempts};
       std::optional<control::EdgeSample>& cached =
-          channel.edge_memo[edge_key(stats.from, stats.to)].sample;
+          channel.layout.memo[row]->sample;
       if (!nodes_[from].blackout && !nodes_[to].blackout) {
         cached = sample;
       } else if (cached) {
@@ -1098,19 +1103,15 @@ void Runtime::control_tick(double t) {
       }
       inputs.edges.push_back(sample);
     }
-    std::sort(inputs.edges.begin(), inputs.edges.end(),
-              [](const control::EdgeSample& a, const control::EdgeSample& b) {
-                return std::make_pair(a.from, a.to) <
-                       std::make_pair(b.from, b.to);
-              });
 
-    // Per-node samples in ascending runtime-id order (dp_of_node is an
-    // ordered map); capacities come from the session's current slots.
-    const std::vector<double> caps = session.capacities();
+    // Per-node samples in ascending runtime-id order (dp_of_node's order);
+    // capacities come from the session's current slots.
+    const Instance& instance = session.instance();
     frame_.granted.assign(nodes_.size(), 0.0);
-    for (std::size_t slot = 0; slot < caps.size(); ++slot) {
-      frame_.granted[static_cast<std::size_t>(channel.node_of_slot[slot])] =
-          caps[slot];
+    for (int slot = 0; slot < instance.size(); ++slot) {
+      frame_.granted[static_cast<std::size_t>(
+          channel.node_of_slot[static_cast<std::size_t>(slot)])] =
+          instance.b(slot);
     }
     const double warmup_grace = config_.control.controller.warmup_grace;
     const int source_rid = channel.node_of_slot[0];
@@ -1156,10 +1157,13 @@ void Runtime::control_tick(double t) {
       memo.activity = observed;
     }
 
-    const control::Directive directive = channel.controller->tick(inputs);
+    control::Directive directive;
+    {
+      obs::PhaseScope decide(config_.profiler, "runtime/control/decide");
+      directive = channel.controller->tick(inputs);
+    }
     if (config_.profiler != nullptr) {
       obs::Profiler& prof = *config_.profiler;
-      prof.enter("runtime/control/decide");
       prof.count("runtime/control/decide", "node_samples",
                  inputs.nodes.size());
       prof.count("runtime/control/decide", "edge_samples",
@@ -1293,10 +1297,10 @@ void Runtime::apply_directive(int id, Channel& channel,
   // Effective caps per current slot: the broker-granted nominal scaled by
   // the controller's capacity-class factor.
   request.capacities.resize(static_cast<std::size_t>(instance.size()));
-  std::map<int, int> slot_of_node;
+  std::vector<int> slot_of_node(nodes_.size(), -1);
   for (int slot = 0; slot < instance.size(); ++slot) {
     const int rid = channel.node_of_slot[static_cast<std::size_t>(slot)];
-    slot_of_node[rid] = slot;
+    slot_of_node[static_cast<std::size_t>(rid)] = slot;
     double factor = 1.0;
     const auto it = directive.factors.find(rid);
     if (it != directive.factors.end()) factor = it->second;
@@ -1305,10 +1309,10 @@ void Runtime::apply_directive(int id, Channel& channel,
         channel.grant.fraction * factor;
   }
   for (const auto& [from, to, limit] : directive.edge_limits) {
-    const auto from_it = slot_of_node.find(from);
-    const auto to_it = slot_of_node.find(to);
-    if (from_it == slot_of_node.end() || to_it == slot_of_node.end()) continue;
-    request.edge_limits.emplace_back(from_it->second, to_it->second, limit);
+    const int from_slot = slot_of_node[static_cast<std::size_t>(from)];
+    const int to_slot = slot_of_node[static_cast<std::size_t>(to)];
+    if (from_slot < 0 || to_slot < 0) continue;
+    request.edge_limits.emplace_back(from_slot, to_slot, limit);
   }
 
   const engine::ChurnOutcome outcome = channel.session->adapt(request);
@@ -1456,30 +1460,39 @@ void Runtime::sync_execution(int id, Channel& channel) {
   dataplane::Execution& exec = *channel.execution;
   const engine::Session& session = *channel.session;
   const Instance& instance = session.instance();
-  // Nodes: the session's current platform, keyed by runtime node id.
-  std::map<int, int> slot_of_node;
-  for (int slot = 0; slot < instance.size(); ++slot) {
-    slot_of_node[channel.node_of_slot[static_cast<std::size_t>(slot)]] = slot;
+  const auto slots = static_cast<std::size_t>(instance.size());
+  // Nodes: the session's current platform, keyed by runtime node id. One
+  // merge of the slots (by runtime id) against the execution map finds the
+  // departed, the kept and the new.
+  std::vector<std::pair<int, int>> slot_of_node(slots);  // (rid, slot)
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    slot_of_node[slot] = {channel.node_of_slot[slot], static_cast<int>(slot)};
   }
-  for (auto it = channel.dp_of_node.begin(); it != channel.dp_of_node.end();) {
-    if (slot_of_node.count(it->first) == 0) {
+  std::sort(slot_of_node.begin(), slot_of_node.end());
+  std::vector<int> dp_of_slot(slots, -1);
+  auto kept = channel.dp_of_node.begin();
+  const auto depart_before = [&](int rid) {
+    for (; kept != channel.dp_of_node.end() && kept->first < rid; ++kept) {
       // Departed (or dropped from the overlay): in-flight chunks vanish,
       // reservations release, survivors re-request elsewhere.
-      exec.remove_node(it->second);
-      channel.expected_at_join.erase(it->second);
-      it = channel.dp_of_node.erase(it);
-    } else {
-      ++it;
+      exec.remove_node(kept->second);
+      channel.expected_at_join.erase(kept->second);
+    }
+  };
+  for (const auto& [rid, slot] : slot_of_node) {
+    depart_before(rid);
+    if (kept != channel.dp_of_node.end() && kept->first == rid) {
+      dp_of_slot[static_cast<std::size_t>(slot)] = kept->second;
+      ++kept;
     }
   }
-  for (int slot = 0; slot < instance.size(); ++slot) {
-    const int node = channel.node_of_slot[static_cast<std::size_t>(slot)];
-    const auto it = channel.dp_of_node.find(node);
+  depart_before(std::numeric_limits<int>::max());
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    const int node = channel.node_of_slot[slot];
     const Node& info = nodes_[static_cast<std::size_t>(node)];
-    int dp;
-    if (it == channel.dp_of_node.end()) {
-      dp = exec.add_node(instance.b(slot));
-      channel.dp_of_node.emplace(node, dp);
+    int& dp = dp_of_slot[slot];
+    if (dp < 0) {
+      dp = exec.add_node(instance.b(static_cast<int>(slot)));
       // A live-edge joiner is only on the hook for chunks emitted after it
       // arrived.
       channel.expected_at_join.emplace(dp, channel.design_integral);
@@ -1492,12 +1505,11 @@ void Runtime::sync_execution(int id, Channel& channel) {
       }
       if (info.corrupt_rate > 0.0) exec.set_corrupt_rate(dp, info.corrupt_rate);
     } else {
-      dp = it->second;
       // An abruptly crashed node stays in the session's platform until the
       // silence detector synthesizes its departure; until then its stream
       // slot is a corpse — nothing to budget or cap.
       if (!exec.node_alive(dp)) continue;
-      exec.set_node_budget(dp, instance.b(slot));
+      exec.set_node_budget(dp, instance.b(static_cast<int>(slot)));
     }
     // Brownout caps are absolute (a fraction of the *nominal* channel
     // grant), so they survive demotions and follow renegotiations.
@@ -1506,20 +1518,23 @@ void Runtime::sync_execution(int id, Channel& channel) {
                 ? info.capacity_factor * info.bandwidth * channel.grant.fraction
                 : -1.0);
   }
+  channel.dp_of_node.resize(slots);
+  for (std::size_t k = 0; k < slots; ++k) {
+    const auto& [rid, slot] = slot_of_node[k];
+    channel.dp_of_node[k] = {rid, dp_of_slot[static_cast<std::size_t>(slot)]};
+  }
   // Pipes: splice the session's current overlay in, preserving in-flight
   // transmissions on edges that survived.
   const BroadcastScheme& scheme = session.scheme();
   std::vector<std::tuple<int, int, double>> desired;
   desired.reserve(static_cast<std::size_t>(scheme.edge_count()));
   for (int slot = 0; slot < scheme.num_nodes(); ++slot) {
-    const int from = channel.dp_of_node.at(
-        channel.node_of_slot[static_cast<std::size_t>(slot)]);
+    const int from = dp_of_slot.at(static_cast<std::size_t>(slot));
     // Splice around crashed-but-undetected nodes: the plan still names
     // them, but their pipes stay down until detection repairs the overlay.
     if (!exec.node_alive(from)) continue;
     for (const auto& [to_slot, rate] : scheme.out_edges(slot)) {
-      const int to = channel.dp_of_node.at(
-          channel.node_of_slot[static_cast<std::size_t>(to_slot)]);
+      const int to = dp_of_slot.at(static_cast<std::size_t>(to_slot));
       if (!exec.node_alive(to)) continue;
       desired.emplace_back(from, to, rate);
     }
@@ -1583,24 +1598,74 @@ void Runtime::read_frame(Channel& channel) {
   const dataplane::Execution& exec = *channel.execution;
   std::vector<dataplane::EdgeStats>& rows = frame_.edges;
   std::vector<int>& rid_of_dp = frame_.rid_of_dp;
+  std::vector<std::uint64_t>& keys = frame_.keys;
   exec.edge_stats_into(rows);
   rid_of_dp.assign(static_cast<std::size_t>(exec.num_nodes()), -1);
   for (const auto& [rid, dp] : channel.dp_of_node) {
     rid_of_dp[static_cast<std::size_t>(dp)] = rid;
   }
   std::size_t kept = 0;
+  keys.clear();
   for (dataplane::EdgeStats& stats : rows) {
     stats.from = rid_of_dp[static_cast<std::size_t>(stats.from)];
     stats.to = rid_of_dp[static_cast<std::size_t>(stats.to)];
-    if (stats.from >= 0 && stats.to >= 0) rows[kept++] = stats;
+    if (stats.from < 0 || stats.to < 0) continue;
+    rows[kept++] = stats;
+    keys.push_back(edge_key(stats.from, stats.to));
   }
   rows.resize(kept);
+  Channel::FrameLayout& layout = channel.layout;
+  if (keys != layout.keys) {
+    // The pipe set changed since the last frame. Rows come grouped by
+    // sender, so the runtime-id order is the senders' groups in
+    // dp_of_node's order, each sorted by receiver (a handful of rows).
+    std::vector<std::uint32_t>& order = frame_.order;
+    std::vector<int>& first_row = frame_.first_row;
+    first_row.assign(nodes_.size(), -1);
+    for (std::size_t k = kept; k-- > 0;) {
+      first_row[static_cast<std::size_t>(rows[k].from)] = static_cast<int>(k);
+    }
+    order.clear();
+    for (const auto& node : channel.dp_of_node) {
+      const int rid = node.first;
+      const int first = first_row[static_cast<std::size_t>(rid)];
+      if (first < 0) continue;
+      const auto group = static_cast<std::ptrdiff_t>(order.size());
+      for (auto k = static_cast<std::size_t>(first);
+           k < kept && rows[k].from == rid; ++k) {
+        order.push_back(static_cast<std::uint32_t>(k));
+      }
+      std::sort(order.begin() + group, order.end(),
+                [&keys](std::uint32_t a, std::uint32_t b) {
+                  return keys[a] < keys[b];
+                });
+    }
+    // Memos: both layouts walk their keys ascending, so one merge hands
+    // the surviving edges their old memo; only new edges hit the table.
+    std::vector<Channel::EdgeMemo*>& memo = frame_.memo;
+    memo.assign(kept, nullptr);
+    std::size_t old = 0;
+    for (const std::uint32_t row : order) {
+      const std::uint64_t key = keys[row];
+      while (old < layout.order.size() &&
+             layout.keys[layout.order[old]] < key) {
+        ++old;
+      }
+      memo[row] = old < layout.order.size() &&
+                          layout.keys[layout.order[old]] == key
+                      ? layout.memo[layout.order[old]]
+                      : &channel.edge_memo[key];
+    }
+    layout.keys.swap(keys);
+    layout.order.swap(order);
+    layout.memo.swap(memo);
+  }
   if (config_.telemetry == nullptr) return;
   obs::ShardRegistry& shard = *config_.telemetry;
   const std::string& prefix = config_.telemetry_node_prefix;
-  for (const dataplane::EdgeStats& stats : rows) {
-    Channel::EdgeMemo& memo =
-        channel.edge_memo[edge_key(stats.from, stats.to)];
+  for (std::size_t k = 0; k < kept; ++k) {
+    const dataplane::EdgeStats& stats = rows[k];
+    Channel::EdgeMemo& memo = *layout.memo[k];
     // Pipes reset their counters when an overlay patch re-splices them; a
     // counter below its watermark restarts the delta from zero.
     const std::uint64_t lost_delta =
@@ -1611,15 +1676,20 @@ void Runtime::read_frame(Channel& channel) {
     memo.lost = stats.lost;
     memo.stalls = stats.window_stalls;
     if (lost_delta == 0 && stall_delta == 0) continue;
-    const std::string node_key = "node:" + prefix + std::to_string(stats.from);
-    if (lost_delta > 0) {
-      shard.offer(tel_.edge_retransmits,
-                  "edge:" + prefix + std::to_string(stats.from) + "->" +
-                      std::to_string(stats.to),
-                  lost_delta);
-      shard.offer(tel_.node_retransmits, node_key, lost_delta);
+    if (memo.node_key.empty()) {
+      memo.node_key = "node:" + prefix + std::to_string(stats.from);
     }
-    if (stall_delta > 0) shard.offer(tel_.node_stalls, node_key, stall_delta);
+    if (lost_delta > 0) {
+      if (memo.edge_key.empty()) {
+        memo.edge_key = "edge:" + prefix + std::to_string(stats.from) + "->" +
+                        std::to_string(stats.to);
+      }
+      shard.offer(tel_.edge_retransmits, memo.edge_key, lost_delta);
+      shard.offer(tel_.node_retransmits, memo.node_key, lost_delta);
+    }
+    if (stall_delta > 0) {
+      shard.offer(tel_.node_stalls, memo.node_key, stall_delta);
+    }
   }
 }
 
@@ -1749,7 +1819,7 @@ std::vector<std::string> Runtime::validate(double tol) const {
     // to exactly one live dataplane node.
     if (channel.execution) {
       for (std::size_t slot = 0; slot < channel.node_of_slot.size(); ++slot) {
-        if (channel.dp_of_node.count(channel.node_of_slot[slot]) == 0) {
+        if (channel.dp_of(channel.node_of_slot[slot]) < 0) {
           violations.push_back(
               "channel " + std::to_string(id) + " slot " +
               std::to_string(slot) + " (node " +

@@ -322,7 +322,11 @@ class Runtime {
     std::vector<int> node_of_slot;
     // ---- execution mode ----
     std::unique_ptr<dataplane::Execution> execution;
-    std::map<int, int> dp_of_node;  ///< runtime node id -> execution node id
+    /// (runtime node id, execution node id) rows, ascending runtime id —
+    /// one per session slot, rebuilt by sync_execution's merge.
+    std::vector<std::pair<int, int>> dp_of_node;
+    /// Execution node id of runtime node `rid` (-1: not in the stream).
+    [[nodiscard]] int dp_of(int rid) const;
     /// Per execution node: channel design integral at its join (so a late
     /// joiner is only expected chunks emitted after it arrived).
     std::map<int, double> expected_at_join;
@@ -366,18 +370,30 @@ class Runtime {
       std::optional<control::NodeSample> sample;
     };
     /// Per overlay edge (packed runtime ids, from << 32 | to): the blackout
-    /// cache of its last observed sample and the heavy-hitter watermarks —
-    /// the (lost, window_stalls) last fed to the telemetry hook.
+    /// cache of its last observed sample, the heavy-hitter watermarks —
+    /// the (lost, window_stalls) last fed to the telemetry hook — and the
+    /// edge's heavy-hitter keys, built the first time it reports.
     struct EdgeMemo {
       std::optional<control::EdgeSample> sample;
       std::uint64_t lost = 0;
       std::uint64_t stalls = 0;
+      std::string edge_key;  ///< "edge:<prefix><from>-><to>" (lazy)
+      std::string node_key;  ///< "node:<prefix><from>" (lazy)
     };
     /// Hash maps: looked up and pruned only, never iterated in output
     /// order, so the unordered layout cannot leak into the deterministic
     /// output. Departed nodes are pruned (runtime ids are never reused).
     std::unordered_map<int, NodeMemo> node_memo;
     std::unordered_map<std::uint64_t, EdgeMemo> edge_memo;
+    /// The last frame's row layout. While the rows' (from, to) keys repeat
+    /// — the pipe set did not change — read_frame reuses the sort and the
+    /// memo lookups instead of redoing them every tick.
+    struct FrameLayout {
+      std::vector<std::uint64_t> keys;  ///< per row, packed runtime ids
+      std::vector<std::uint32_t> order; ///< row indices ascending by key
+      std::vector<EdgeMemo*> memo;      ///< per row, into edge_memo
+    };
+    FrameLayout layout;
     /// >= 0: the session wanted a full re-plan but the planner was down; it
     /// kept serving the incremental repair since this instant. Rebuilt
     /// through the planner when the outage ends.
@@ -430,10 +446,11 @@ class Runtime {
   /// the verified current rate. Called after every session change.
   void sync_execution(int id, Channel& channel);
   /// Reads the channel's pipes once into frame_, re-keyed to runtime ids,
-  /// and, with the telemetry hook on, streams each edge's (lost,
-  /// window_stalls) deltas past its watermarks into the heavy-hitter
-  /// tables. Called at every control tick and at stream finalize (so
-  /// control-less runs still attribute).
+  /// with the channel's layout (row order by runtime ids, memo per row)
+  /// refreshed when the keys changed, and, with the telemetry hook on,
+  /// streams each edge's (lost, window_stalls) deltas past its watermarks
+  /// into the heavy-hitter tables. Called at every control tick and at
+  /// stream finalize (so control-less runs still attribute).
   void read_frame(Channel& channel);
   /// Drains the stream's chunk latencies into dataplane.chunk_latency, the
   /// telemetry sketch and the SLO monitor.
@@ -520,10 +537,18 @@ class Runtime {
   struct Frame {
     /// Raw cumulative rows in (from, to) execution-id order, with from/to
     /// re-keyed to runtime ids (rows the channel no longer maps dropped).
+    /// The channel's `layout` orders them by runtime ids.
     std::vector<dataplane::EdgeStats> edges;
     std::vector<int> rid_of_dp;  ///< execution id -> runtime id, -1: none
+    // read_frame scratch: the rows' packed runtime-id keys, and a layout
+    // refresh's order and memos (swapped with the channel's layout).
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint32_t> order;
+    std::vector<Channel::EdgeMemo*> memo;
+    std::vector<int> first_row;  ///< per runtime id: its first row, or -1
     std::vector<double> granted;          ///< per runtime id (tick only)
     std::vector<std::uint64_t> activity;  ///< per runtime id (tick only)
+    control::TickInputs inputs;           ///< the controller's (tick only)
   };
   Frame frame_;
   /// Sampling boundaries processed so far: boundary k + 1 sits at

@@ -13,7 +13,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bmp/control/controller.hpp"
@@ -24,6 +28,7 @@
 #include "bmp/obs/trace.hpp"
 #include "bmp/runtime/runtime.hpp"
 #include "bmp/runtime/scenario.hpp"
+#include "bmp/util/rng.hpp"
 
 namespace bmp {
 namespace {
@@ -260,6 +265,326 @@ TEST(Controller, IdenticalInputsProduceIdenticalDirectives) {
     return log;
   };
   EXPECT_EQ(run(), run());
+}
+
+/// 64-bit FNV-1a over the exact bytes of the controller's outputs, so a
+/// pin catches any change in decision order, arithmetic or bookkeeping.
+struct Fnv {
+  std::uint64_t hash = 14695981039346656037ULL;
+  void u64(std::uint64_t v) {
+    for (int k = 0; k < 8; ++k) {
+      hash = (hash ^ ((v >> (8 * k)) & 0xffU)) * 1099511628211ULL;
+    }
+  }
+  void i(int v) {
+    u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+  }
+  void d(double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    u64(bits);
+  }
+  void s(const char* v) {
+    for (const char* p = v; *p != '\0'; ++p) {
+      hash = (hash ^ static_cast<unsigned char>(*p)) * 1099511628211ULL;
+    }
+    u64(0);
+  }
+};
+
+void hash_directive(Fnv& fnv, const control::Directive& d) {
+  fnv.i(d.act ? 1 : 0);
+  fnv.i(d.force_replan ? 1 : 0);
+  fnv.u64(d.factors.size());
+  for (const auto& [id, factor] : d.factors) {
+    fnv.i(id);
+    fnv.d(factor);
+  }
+  fnv.u64(d.edge_limits.size());
+  for (const auto& [from, to, limit] : d.edge_limits) {
+    fnv.i(from);
+    fnv.i(to);
+    fnv.d(limit);
+  }
+  for (const int count : {d.demotions, d.restores, d.reroutes, d.stragglers,
+                          d.degraded_edges, d.straggler_trips, d.edge_trips,
+                          d.stale_nodes, d.stale_edges}) {
+    fnv.i(count);
+  }
+  fnv.d(d.drift);
+  fnv.u64(d.evidence.size());
+  for (const control::Evidence& ev : d.evidence) {
+    fnv.s(ev.detector);
+    fnv.s(ev.action);
+    fnv.i(ev.node);
+    fnv.i(ev.from);
+    fnv.i(ev.to);
+    for (const double v : {ev.window_value, ev.ewma, ev.threshold,
+                           ev.estimate, ev.factor_before, ev.factor_after,
+                           ev.drift}) {
+      fnv.d(v);
+    }
+    fnv.i(ev.trips);
+  }
+}
+
+std::uint64_t hash_health(const control::Controller& controller, int ids) {
+  Fnv fnv;
+  for (int id = 0; id < ids; ++id) {
+    const control::NodeHealth h = controller.node_health(id);
+    fnv.i(h.known ? 1 : 0);
+    fnv.d(h.factor);
+    fnv.d(h.egress_ewma);
+    fnv.d(h.sustained_ewma);
+    fnv.i(h.egress_degraded ? 1 : 0);
+    fnv.i(h.straggler ? 1 : 0);
+    fnv.i(h.egress_trips);
+    fnv.i(h.straggler_trips);
+    fnv.i(h.straggler_recoveries);
+    fnv.i(h.stale_windows);
+  }
+  return fnv.hash;
+}
+
+/// What the seeded feed exercised, so the pins provably cover each path.
+struct FeedTally {
+  int demotions = 0, restores = 0, heals = 0, reroutes = 0, replans = 0;
+  int stale_nodes = 0, stale_edges = 0, restarts = 0, reappears = 0;
+  int ghost_edge_ticks = 0, unjudgeable = 0;
+};
+
+/// A seeded 40-node, 150-edge world fed to the default controller for 300
+/// ticks. Nodes 40..43 only ever appear as edge endpoints, node 7 drops out
+/// of `nodes` for a stretch, edges vanish and reappear (half of them with
+/// counters restarted, as a resplice does), node 13 goes dark for 11
+/// windows (past stale_ttl), three senders brown out, a correlated
+/// brownout of eight nodes forces a drift re-plan, one node straggles, one
+/// healthy sender's pipes turn lossy (clamps), and forgive() pardons three
+/// nodes. Returns (directive hash so far, node-health hash) at every 50th
+/// tick.
+std::vector<std::uint64_t> run_seeded_feed(FeedTally& tally) {
+  constexpr int kNodes = 40;
+  constexpr int kIds = 44;  // 40..43: edge endpoints only
+  constexpr double kChunk = 0.1;
+  constexpr double kStream = 10.0;
+  util::Xoshiro256 rng(16);
+  struct Edge {
+    int from = 0, to = 0;
+    double rate = 1.0;
+    bool active = false;
+    double busy = 0.0, completed = 0.0;
+    std::uint64_t sent = 0, lost = 0, attempts = 0;
+  };
+  std::vector<Edge> edges;
+  while (edges.size() < 150) {
+    Edge e;
+    e.from = static_cast<int>(rng.below(kIds));
+    e.to = static_cast<int>(rng.below(kIds));
+    if (e.from == e.to) continue;
+    if (std::any_of(edges.begin(), edges.end(), [&](const Edge& o) {
+          return o.from == e.from && o.to == e.to;
+        })) {
+      continue;
+    }
+    e.rate = 1.0 + static_cast<double>(rng.below(3));
+    e.active = edges.size() < 110;
+    edges.push_back(e);
+  }
+  std::vector<double> delivered(kIds, 0.0);
+  control::Controller controller;
+  Fnv directives;
+  std::vector<std::uint64_t> pins;
+  const auto in = [](int t, int lo, int hi) { return t >= lo && t < hi; };
+  for (int t = 1; t <= 300; ++t) {
+    if (t == 120) controller.forgive(3);
+    if (t == 180) controller.forgive(21);
+    if (t == 222) controller.forgive(13);
+    const bool dark13 = in(t, 210, 221);
+    const auto service = [&](int node) {
+      if ((node == 3 || node == 11 || node == 19) && in(t, 40, 110)) {
+        return 0.35;
+      }
+      if (node >= 20 && node < 28 && in(t, 150, 200)) return 0.3;
+      return 1.0;
+    };
+    // Churn the overlay: vanish, reappear (restarted or continued).
+    for (Edge& e : edges) {
+      if (e.active) {
+        if (rng.uniform() < 0.01) e.active = false;
+      } else if (rng.uniform() < 0.03) {
+        e.active = true;
+        ++tally.reappears;
+        if (rng.uniform() < 0.5 && e.sent > 0) {
+          e.busy = e.completed = 0.0;
+          e.sent = e.lost = e.attempts = 0;
+          ++tally.restarts;
+        }
+      }
+    }
+    control::TickInputs inputs;
+    inputs.now = 0.5 * t;
+    inputs.window = 0.5;
+    inputs.chunk_size = kChunk;
+    inputs.expected_delta = kStream * inputs.window;
+    bool ghost = false;
+    for (Edge& e : edges) {
+      if (!e.active) continue;
+      const bool frozen = (dark13 && (e.from == 13 || e.to == 13)) ||
+                          rng.uniform() < 0.04;
+      if (!frozen) {
+        const double s = service(e.from);
+        const double loss = e.from == 5 && in(t, 70, 150) ? 0.5 : 0.02;
+        const double busy = inputs.window * (0.3 + 0.7 * rng.uniform());
+        const double done = busy * e.rate * s;
+        const auto sends =
+            static_cast<std::uint64_t>(std::lround(done / kChunk));
+        std::uint64_t lost = 0;
+        for (std::uint64_t k = 0; k < sends; ++k) {
+          if (rng.uniform() < loss) ++lost;
+        }
+        e.busy += busy;
+        e.completed += done;
+        e.sent += sends;
+        e.lost += lost;
+        e.attempts += sends + rng.below(3);
+      }
+      ghost = ghost || e.from >= kNodes || e.to >= kNodes;
+    }
+    std::vector<const Edge*> sorted;
+    for (const Edge& e : edges) {
+      if (e.active) sorted.push_back(&e);
+    }
+    std::sort(sorted.begin(), sorted.end(), [](const Edge* a, const Edge* b) {
+      return std::make_pair(a->from, a->to) < std::make_pair(b->from, b->to);
+    });
+    for (const Edge* e : sorted) {
+      inputs.edges.push_back({e->from, e->to, e->rate, e->busy, e->completed,
+                              e->sent, e->lost, e->attempts});
+    }
+    if (ghost) ++tally.ghost_edge_ticks;
+    for (int id = 0; id < kNodes; ++id) {
+      if (id == 7 && in(t, 100, 131)) continue;
+      if (!(id == 13 && dark13)) {
+        const double pace = id == 30 && in(t, 60, 120) ? 0.5 : 1.0;
+        delivered[static_cast<std::size_t>(id)] +=
+            inputs.expected_delta * pace * (0.9 + 0.2 * rng.uniform());
+      }
+      control::NodeSample node;
+      node.id = id;
+      node.nominal = 10.0 + 2.0 * (id % 5);
+      node.granted = node.nominal * controller.factor(id);
+      node.delivered = delivered[static_cast<std::size_t>(id)];
+      node.judgeable = id != 0 && !(id % 9 == 4 && t < 20);
+      if (!node.judgeable) ++tally.unjudgeable;
+      inputs.nodes.push_back(node);
+    }
+    const control::Directive d = controller.tick(inputs);
+    hash_directive(directives, d);
+    tally.demotions += d.demotions;
+    tally.restores += d.restores;
+    tally.reroutes += d.reroutes;
+    tally.replans += d.force_replan ? 1 : 0;
+    tally.stale_nodes += d.stale_nodes;
+    tally.stale_edges += d.stale_edges;
+    for (const control::Evidence& ev : d.evidence) {
+      if (std::string(ev.detector) == "heal") ++tally.heals;
+    }
+    if (t % 50 == 0) {
+      pins.push_back(directives.hash);
+      pins.push_back(hash_health(controller, kIds + 2));
+    }
+  }
+  return pins;
+}
+
+TEST(Controller, SeededFeedDirectivesArePinned) {
+  FeedTally tally;
+  const std::vector<std::uint64_t> pins = run_seeded_feed(tally);
+  std::ostringstream got;
+  for (const std::uint64_t pin : pins) got << std::hex << "0x" << pin << ", ";
+  // (directive hash, node-health hash) at ticks 50, 100, ..., 300,
+  // recorded with the map-keyed controller this flat one replaced.
+  const std::vector<std::uint64_t> want = {
+      0x846b68c3c5dd7be7ULL, 0xfaae80da865cd54dULL,  //
+      0x5ad598aba0848349ULL, 0x65982968f5174a75ULL,  //
+      0x40912bbbca28540aULL, 0x1132cf669e830fb7ULL,  //
+      0x60018af877b85a9aULL, 0x4d3f49d21ff3953aULL,  //
+      0x64d51300a563c14bULL, 0x3ad4a7bcba81bb95ULL,  //
+      0x52b6a8ac1e6a53b7ULL, 0xccc608b281887e6cULL};
+  EXPECT_EQ(pins, want) << got.str();
+  EXPECT_GT(tally.demotions, 0);
+  EXPECT_GT(tally.restores, tally.heals);
+  EXPECT_GT(tally.heals, 0);
+  EXPECT_GT(tally.reroutes, 0);
+  EXPECT_GT(tally.replans, 0);
+  EXPECT_GT(tally.stale_nodes, 0);
+  EXPECT_GT(tally.stale_edges, 0);
+  EXPECT_GT(tally.restarts, 0);
+  EXPECT_GT(tally.reappears, tally.restarts);
+  EXPECT_GT(tally.ghost_edge_ticks, 0);
+  EXPECT_GT(tally.unjudgeable, 0);
+}
+
+TEST(Controller, RejectsMisorderedInputs) {
+  const auto inputs = [](double now) {
+    control::TickInputs in;
+    in.now = now;
+    in.window = 0.5;
+    in.expected_delta = 0.5;
+    in.chunk_size = 0.01;
+    for (const int id : {1, 2, 4}) {
+      control::NodeSample node;
+      node.id = id;
+      node.nominal = 1.0;
+      node.granted = 1.0;
+      in.nodes.push_back(node);
+    }
+    for (const auto& [from, to] : {std::make_pair(1, 2), std::make_pair(1, 4),
+                                   std::make_pair(2, 1)}) {
+      control::EdgeSample edge;
+      edge.from = from;
+      edge.to = to;
+      edge.rate = 1.0;
+      in.edges.push_back(edge);
+    }
+    return in;
+  };
+  control::Controller controller(fast_config());
+  const auto rejects = [&](const control::TickInputs& in) {
+    EXPECT_THROW(controller.tick(in), std::invalid_argument);
+  };
+  control::TickInputs bad = inputs(1.0);
+  std::swap(bad.nodes[0], bad.nodes[1]);
+  rejects(bad);
+  bad = inputs(1.0);
+  bad.nodes[1].id = 1;  // duplicate id
+  rejects(bad);
+  bad = inputs(1.0);
+  std::swap(bad.edges[1], bad.edges[2]);
+  rejects(bad);
+  bad = inputs(1.0);
+  bad.edges[1] = bad.edges[0];  // duplicate (from, to)
+  rejects(bad);
+  bad = inputs(1.0);
+  bad.nodes[0].id = -1;
+  rejects(bad);
+  bad = inputs(1.0);
+  bad.edges[0].from = -3;
+  rejects(bad);
+  bad = inputs(1.0);
+  bad.edges[2].to = -1;
+  rejects(bad);
+  // A rejected tick changes nothing: the same clock is still fresh.
+  EXPECT_EQ(controller.ticks(), 0);
+  controller.tick(inputs(1.0));
+  EXPECT_EQ(controller.ticks(), 1);
+  rejects(inputs(1.0));  // now must increase...
+  rejects(inputs(0.5));
+  controller.tick(inputs(1.5));  // ...and may, with empty inputs too
+  control::TickInputs empty;
+  empty.now = 2.0;
+  controller.tick(empty);
+  EXPECT_EQ(controller.ticks(), 3);
 }
 
 TEST(Controller, RejectsBadConfig) {

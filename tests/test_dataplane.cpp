@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstring>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -850,6 +851,103 @@ TEST(Execution, AdvanceCountersArePinned) {
   EXPECT_EQ(counters(mixed), (std::vector<std::uint64_t>{
                                  7244, 280, 3272, 115, 146, 56, 92,  //
                                  6847, 92, 3274, 5900, 855}));
+}
+
+TEST(Execution, PipeIndexSurvivesSlotRecycling) {
+  // Pipes are added, removed and re-added so freed slots come back out of
+  // (from, to) order; a node departure frees a batch; a splice carries
+  // duplicate keys. The (from, to) index must keep rows ascending, count
+  // exactly the live pipes and leave the books balanced at every stage.
+  ExecutionConfig config;
+  config.chunk_size = 0.5;
+  config.total_chunks = 160;
+  config.emission_rate = 4.0;
+  config.loss_rate = 0.05;
+  config.seed = 11;
+  Execution exec(config);
+  for (int i = 0; i < 8; ++i) exec.add_node(40.0);
+  std::vector<std::uint64_t> pins;
+  std::vector<EdgeStats> rows;
+  const auto rate_of = [&](int from, int to) {
+    exec.edge_stats_into(rows);
+    for (const EdgeStats& row : rows) {
+      if (row.from == from && row.to == to) return row.rate;
+    }
+    return 0.0;
+  };
+  const auto stage = [&](const char* name) {
+    exec.edge_stats_into(rows);
+    EXPECT_EQ(static_cast<int>(rows.size()), exec.num_pipes()) << name;
+    for (std::size_t k = 1; k < rows.size(); ++k) {
+      EXPECT_LT(std::make_pair(rows[k - 1].from, rows[k - 1].to),
+                std::make_pair(rows[k].from, rows[k].to))
+          << name;
+    }
+    EXPECT_TRUE(exec.validate().empty()) << name;
+    Fnv fnv;
+    for (const EdgeStats& row : rows) {
+      fnv.i(row.from);
+      fnv.i(row.to);
+      fnv.d(row.rate);
+      fnv.d(row.busy_time);
+      fnv.d(row.completed);
+      fnv.u64(row.sent);
+      fnv.u64(row.lost);
+      fnv.u64(row.attempts);
+      fnv.u64(row.window_stalls);
+    }
+    pins.push_back(fnv.hash);
+    pins.push_back(static_cast<std::uint64_t>(exec.num_pipes()));
+  };
+  for (int to = 1; to < 8; ++to) exec.set_edge(to - 1, to, 3.0);
+  exec.set_edge(0, 4, 2.0);
+  exec.set_edge(0, 6, 2.0);
+  exec.set_edge(2, 7, 1.5);
+  exec.run_until(3.0);
+  stage("built");
+  // Freed in (from, to) order; the free list hands them back reversed.
+  exec.set_edge(0, 4, 0.0);
+  exec.set_edge(2, 3, 0.0);
+  exec.set_edge(5, 6, 0.0);
+  exec.set_edge(1, 5, 2.5);
+  exec.set_edge(3, 6, 2.0);
+  exec.set_edge(2, 3, 1.0);
+  exec.run_until(6.0);
+  stage("recycled");
+  exec.remove_node(4);
+  const int joiner = exec.add_node(30.0);
+  exec.set_edge(3, joiner, 2.0);
+  exec.set_edge(joiner, 7, 1.0);
+  exec.run_until(9.0);
+  stage("departed");
+  // Splice in reverse order with duplicate keys: the last positive rate of
+  // a key wins, a later non-positive duplicate does not remove it.
+  exec.edge_stats_into(rows);
+  std::vector<std::tuple<int, int, double>> desired;
+  for (std::size_t k = rows.size(); k-- > 1;) {
+    desired.emplace_back(rows[k].from, rows[k].to,
+                         k == 2 ? rows[k].rate * 3.0 : rows[k].rate);
+  }
+  desired.emplace_back(1, 6, 1.0);
+  desired.emplace_back(0, 2, 0.5);
+  desired.emplace_back(1, 6, 2.5);
+  desired.emplace_back(0, 2, 0.0);
+  exec.reconcile_edges(desired);
+  EXPECT_DOUBLE_EQ(rate_of(1, 6), 2.5);
+  EXPECT_DOUBLE_EQ(rate_of(0, 2), 0.5);
+  exec.run_until(12.0);
+  stage("spliced");
+  exec.run_to_completion();
+  stage("drained");
+  std::ostringstream got;
+  for (const std::uint64_t pin : pins) got << std::hex << "0x" << pin << ", ";
+  // (rows hash, num_pipes) per stage, recorded with the std::map-keyed
+  // pipe index this merge-based one replaced.
+  EXPECT_EQ(pins, (std::vector<std::uint64_t>{
+                      0xc3eb341d794f7bdfULL, 10, 0xe5b9759e48a32769ULL, 10,
+                      0xb908f861755067e7ULL, 10, 0x15e80f0019f0daebULL, 11,
+                      0xef4c5b9ddd787147ULL, 11}))
+      << got.str();
 }
 
 // ------------------------------------------- acceptance: plan vs achieved

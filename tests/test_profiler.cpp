@@ -174,6 +174,29 @@ TEST(ProfilerDeterminism, ByteIdenticalAcrossPlannerThreadCounts) {
   EXPECT_EQ(one_thread.summary_json(), four_threads.summary_json());
 }
 
+TEST(ProfilerDeterminism, ControlDecideWallTimeIsOptIn) {
+  // The decide phase is timed through a PhaseScope: with wall time off its
+  // report is the same bytes as before it was timed (FNV-1a pin of the
+  // JSON), with wall time on the phase accumulates wall microseconds over
+  // the same one entry per tick.
+  const runtime::ScenarioScript script = adaptive_script(150, 14.0, 11);
+  obs::Profiler cold;
+  run_profiled_loop(script, 0, &cold);
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const char c : cold.to_json()) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+  }
+  EXPECT_EQ(hash, 0xb10fd5f4997cf314ULL) << std::hex << hash;
+  EXPECT_DOUBLE_EQ(cold.wall_us("runtime/control/decide"), 0.0);
+
+  obs::Profiler walled(obs::ProfilerConfig{/*wall_time=*/true});
+  run_profiled_loop(script, 0, &walled);
+  EXPECT_GT(walled.wall_us("runtime/control/decide"), 0.0);
+  EXPECT_EQ(walled.calls("runtime/control/decide"),
+            cold.calls("runtime/control/decide"));
+  EXPECT_GT(cold.calls("runtime/control/decide"), 0u);
+}
+
 // ------------------------------------ parallel tier-2 verify sweep parity
 
 TEST(ParallelVerify, PoolSweepExactAndPoolSizeIndependent) {
