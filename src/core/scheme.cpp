@@ -1,5 +1,6 @@
 #include "bmp/core/scheme.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <queue>
@@ -7,6 +8,26 @@
 #include <stdexcept>
 
 namespace bmp {
+
+namespace {
+
+/// First edge whose target is >= `to`.
+template <typename Edges>
+auto find_target(Edges& edges, int to) {
+  return std::lower_bound(edges.begin(), edges.end(), to,
+                          [](const std::pair<int, double>& e, int target) {
+                            return e.first < target;
+                          });
+}
+
+/// The edge to `to` in a sorted edge list; null if absent.
+const std::pair<int, double>* find_edge(const BroadcastScheme::EdgeList& edges,
+                                        int to) {
+  const auto it = find_target(edges, to);
+  return it != edges.end() && it->first == to ? &*it : nullptr;
+}
+
+}  // namespace
 
 BroadcastScheme::BroadcastScheme(int num_nodes)
     : out_(static_cast<std::size_t>(num_nodes)) {
@@ -19,8 +40,13 @@ void BroadcastScheme::add(int from, int to, double delta) {
   }
   if (from == to) throw std::invalid_argument("BroadcastScheme::add: self loop");
   auto& edges = out_[static_cast<std::size_t>(from)];
-  auto it = edges.find(to);
-  const double old = it == edges.end() ? 0.0 : it->second;
+  // Builders emit targets in ascending order: skip the search when `to`
+  // lands past the last edge.
+  const auto it = edges.empty() || edges.back().first < to
+                      ? edges.end()
+                      : find_target(edges, to);
+  const bool present = it != edges.end() && it->first == to;
+  const double old = present ? it->second : 0.0;
   const double next = old + delta;
   // Scale-free tolerances: relative to the magnitudes involved in this
   // update, so bit/s and Gbit/s platforms behave identically.
@@ -29,23 +55,22 @@ void BroadcastScheme::add(int from, int to, double delta) {
     throw std::invalid_argument("BroadcastScheme::add: rate driven negative");
   }
   if (std::abs(next) <= kZeroTol * magnitude) {
-    if (it != edges.end()) edges.erase(it);
+    if (present) edges.erase(it);
     return;
   }
-  if (it == edges.end()) {
-    edges.emplace(to, next);
-  } else {
+  if (present) {
     it->second = next;
+  } else {
+    edges.emplace(it, to, next);
   }
 }
 
 double BroadcastScheme::rate(int from, int to) const {
-  const auto& edges = out_.at(static_cast<std::size_t>(from));
-  const auto it = edges.find(to);
-  return it == edges.end() ? 0.0 : it->second;
+  const auto* edge = find_edge(out_.at(static_cast<std::size_t>(from)), to);
+  return edge != nullptr ? edge->second : 0.0;
 }
 
-const std::map<int, double>& BroadcastScheme::out_edges(int i) const {
+const BroadcastScheme::EdgeList& BroadcastScheme::out_edges(int i) const {
   return out_.at(static_cast<std::size_t>(i));
 }
 
@@ -58,8 +83,7 @@ double BroadcastScheme::out_rate(int i) const {
 double BroadcastScheme::in_rate(int i) const {
   double sum = 0.0;
   for (const auto& edges : out_) {
-    const auto it = edges.find(i);
-    if (it != edges.end()) sum += it->second;
+    if (const auto* edge = find_edge(edges, i)) sum += edge->second;
   }
   return sum;
 }
@@ -78,7 +102,7 @@ int BroadcastScheme::out_degree(int i) const {
 
 int BroadcastScheme::in_degree(int i) const {
   int deg = 0;
-  for (const auto& edges : out_) deg += edges.count(i) != 0 ? 1 : 0;
+  for (const auto& edges : out_) deg += find_edge(edges, i) != nullptr ? 1 : 0;
   return deg;
 }
 

@@ -4,10 +4,26 @@
 // firewall constraint (no guarded->guarded edge). Throughput is
 // min_k maxflow(C0 -> Ck) — computed in bmp/flow (scheme_throughput) to keep
 // this type dependency-free.
+//
+// Storage: each node's out-edges are one std::vector<std::pair<int, double>>
+// sorted by target — the overlays of Lemma 4.6 give every node only a few
+// edges, so a flat sorted list beats a tree on every access. Costs, with d
+// the sender's out-degree:
+//   add(from, to, ·)   O(log d) to find the edge; appending past the last
+//                      target (the order the builders and restrict_scheme
+//                      emit) is O(1), a mid-list insert or erase O(d).
+//   rate(from, to)     O(log d).
+//   in_rate / in_degree  one binary search per node: O(n log d).
+// Iteration is in ascending target order whatever the insertion history,
+// so every sum over a node's edges adds the same terms in the same order.
+//
+// Copy before mutate: add() may insert into or erase from the very vector
+// out_edges(from) returns, invalidating its iterators. A loop that calls
+// add(i, ...) while walking out_edges(i) must walk a copy of the list.
 #pragma once
 
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bmp/core/instance.hpp"
@@ -16,6 +32,9 @@ namespace bmp {
 
 class BroadcastScheme {
  public:
+  /// One node's out-edges as (target, rate), sorted by target.
+  using EdgeList = std::vector<std::pair<int, double>>;
+
   explicit BroadcastScheme(int num_nodes);
 
   [[nodiscard]] int num_nodes() const { return static_cast<int>(out_.size()); }
@@ -31,11 +50,12 @@ class BroadcastScheme {
   [[nodiscard]] double rate(int from, int to) const;
 
   /// Outgoing edges of node i as (target, rate), ordered by target id.
-  [[nodiscard]] const std::map<int, double>& out_edges(int i) const;
+  /// Invalidated by add(i, ...): see the copy-before-mutate rule above.
+  [[nodiscard]] const EdgeList& out_edges(int i) const;
 
   [[nodiscard]] double out_rate(int i) const;
-  /// in_rate(i) and in_degree(i) scan every node's out-edges: O(E) per
-  /// call. Fine for tests and one-off queries; loops over all nodes use
+  /// in_rate(i) and in_degree(i) search every node's out-edges: O(n log d)
+  /// per call. Fine for tests and one-off queries; loops over all nodes use
   /// in_rates() instead.
   [[nodiscard]] double in_rate(int i) const;
   [[nodiscard]] int out_degree(int i) const;
@@ -69,7 +89,7 @@ class BroadcastScheme {
   static constexpr double kZeroTol = 1e-9;
 
  private:
-  std::vector<std::map<int, double>> out_;
+  std::vector<EdgeList> out_;
 };
 
 }  // namespace bmp

@@ -12,8 +12,10 @@ namespace bmp {
 namespace {
 
 /// Shared closed-form evaluation; Num is double or util::Rational.
+/// `binding`, when set, receives the denominator of the minimal term.
 template <typename Num>
-Num closed_form(const BasicInstance<Num>& instance, const Word& word) {
+Num closed_form(const BasicInstance<Num>& instance, const Word& word,
+                int* binding = nullptr) {
   if (count_open(word) != instance.n() || count_guarded(word) != instance.m()) {
     throw std::invalid_argument("word_throughput: letter counts mismatch");
   }
@@ -21,10 +23,11 @@ Num closed_form(const BasicInstance<Num>& instance, const Word& word) {
 
   bool has_bound = false;
   Num best{};
-  const auto consider = [&](const Num& cand) {
+  const auto consider = [&](const Num& cand, int denominator) {
     if (!has_bound || cand < best) {
       best = cand;
       has_bound = true;
+      if (binding != nullptr) *binding = denominator;
     }
   };
 
@@ -38,14 +41,14 @@ Num closed_form(const BasicInstance<Num>& instance, const Word& word) {
 
   for (const Letter letter : word) {
     if (letter == Letter::kOpen) {
-      consider((osum + gsum) / Num(opens + guardeds + 1));
+      consider((osum + gsum) / Num(opens + guardeds + 1), opens + guardeds + 1);
       breakpoints.emplace_back(opens + 1, gsum);
       ++opens;
       osum = osum + instance.b(opens);
     } else {
-      consider(osum / Num(guardeds + 1));
+      consider(osum / Num(guardeds + 1), guardeds + 1);
       for (const auto& [x, gs] : breakpoints) {
-        consider((osum + gs) / Num(guardeds + 1 + x));
+        consider((osum + gs) / Num(guardeds + 1 + x), guardeds + 1 + x);
       }
       ++guardeds;
       gsum = gsum + instance.b(instance.n() + guardeds);
@@ -61,8 +64,9 @@ util::Rational word_throughput_exact(const RationalInstance& instance,
   return closed_form<util::Rational>(instance, word);
 }
 
-double word_throughput_closed_form(const Instance& instance, const Word& word) {
-  return closed_form<double>(instance, word);
+double word_throughput_closed_form(const Instance& instance, const Word& word,
+                                   int* binding_denominator) {
+  return closed_form<double>(instance, word, binding_denominator);
 }
 
 double word_throughput(const Instance& instance, const Word& word, int iters) {
@@ -72,6 +76,9 @@ double word_throughput(const Instance& instance, const Word& word, int iters) {
   double lo = 0.0;
   for (int k = 0; k < iters; ++k) {
     const double mid = 0.5 * (lo + hi);
+    // Fixed point: lo and hi are adjacent doubles (or equal), so every
+    // later iteration would repeat this probe and leave lo unchanged.
+    if (mid == lo || mid == hi) break;
     if (check_word(instance, word, mid)) {
       lo = mid;
     } else {

@@ -27,11 +27,17 @@ util::Rational word_throughput_exact(const RationalInstance& instance,
                                      const Word& word);
 
 /// Same closed-form evaluation in doubles (O(L^2)); exact up to roundoff.
-double word_throughput_closed_form(const Instance& instance, const Word& word);
+/// If `binding_denominator` is non-null it receives the denominator of the
+/// binding (minimal) term — the coefficient of T in the constraint that
+/// fixes T*_ac(π), so a slack s on that constraint moves T*_ac(π) by s/k.
+double word_throughput_closed_form(const Instance& instance, const Word& word,
+                                   int* binding_denominator = nullptr);
 
-/// Bisection on check_word; `iters` halvings starting from the Lemma 5.1
-/// upper bound. Returns a feasible lower estimate within one ulp-scale step
-/// of T*_ac(π).
+/// Bisection on check_word; at most `iters` halvings starting from the
+/// Lemma 5.1 upper bound. The search stops early once the bracket cannot
+/// shrink (adjacent doubles, ~54 halvings), so any cap >= that returns the
+/// same bits as an unbounded search. Returns a feasible lower estimate
+/// within one ulp-scale step of T*_ac(π).
 double word_throughput(const Instance& instance, const Word& word, int iters = 100);
 
 }  // namespace bmp

@@ -211,8 +211,8 @@ RepairResult repair_scheme(const Instance& survivors,
       for (const int s : sender_order) {
         if (deficit <= tol) break;
         if (survivors.is_guarded(s)) continue;  // need an open/source sender
-        const std::vector<std::pair<int, double>> edges(
-            scheme.out_edges(s).begin(), scheme.out_edges(s).end());
+        // A copy: the swaps below add to s's own edge list.
+        const BroadcastScheme::EdgeList edges = scheme.out_edges(s);
         for (const auto& [x, rate_sx] : edges) {
           if (deficit <= tol) break;
           if (x == receiver || survivors.is_guarded(x)) continue;
@@ -414,8 +414,8 @@ ChurnOutcome Session::adapt(const AdaptationRequest& request) {
     const double cap = effective.b(i);
     if (out <= cap || out <= 0.0) continue;
     const double scale = cap / out;
-    const std::vector<std::pair<int, double>> edges(
-        permuted.out_edges(i).begin(), permuted.out_edges(i).end());
+    // A copy: scaling an edge down to residue erases it from the list.
+    const BroadcastScheme::EdgeList edges = permuted.out_edges(i);
     for (const auto& [to, rate] : edges) {
       permuted.add(i, to, -(rate * (1.0 - scale)));
     }

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <optional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "bmp/core/acyclic_search.hpp"
@@ -12,6 +16,7 @@
 #include "bmp/core/exact.hpp"
 #include "bmp/core/greedy_test.hpp"
 #include "bmp/core/word_throughput.hpp"
+#include "bmp/gen/distributions.hpp"
 #include "bmp/theory/instances.hpp"
 #include "test_helpers.hpp"
 
@@ -219,10 +224,9 @@ TEST(SolveAcyclic, ReturnsConsistentBundle) {
   EXPECT_LE(sol.scheme.max_inflow_deviation(sol.throughput), 1e-6);
 }
 
-// The dichotomic search stops once lo and hi are adjacent doubles: from
-// there every probe repeats an earlier one, so a cap of 100 halvings must
-// return exactly what 2000 do.
-TEST(AcyclicSearch, EarlyStopIsTheFullBisection) {
+/// Random, tight homogeneous (dyadic-tie) and guarded-heavy instances on
+/// which the search's stopping rule and replay are checked.
+std::vector<Instance> early_stop_instances() {
   util::Xoshiro256 rng(1407);
   std::vector<Instance> instances;
   for (int rep = 0; rep < 12; ++rep) {
@@ -244,6 +248,14 @@ TEST(AcyclicSearch, EarlyStopIsTheFullBisection) {
     for (double& b : guarded) b = rng.uniform(1.0, 10.0);
     instances.emplace_back(rng.uniform(0.5, 4.0), open, guarded);
   }
+  return instances;
+}
+
+// The dichotomic search stops once lo and hi are adjacent doubles: from
+// there every probe repeats an earlier one, so a cap of 100 halvings must
+// return exactly what 2000 do.
+TEST(AcyclicSearch, EarlyStopIsTheFullBisection) {
+  const std::vector<Instance> instances = early_stop_instances();
   int bisected = 0;
   for (const Instance& inst : instances) {
     const AcyclicSolution capped = solve_acyclic(inst, 100);
@@ -270,6 +282,210 @@ TEST(AcyclicSearch, EarlyStopIsTheFullBisection) {
   const AcyclicSolution tight_coarse = solve_acyclic(tight, 8);
   EXPECT_EQ(tight_coarse.throughput, 0.984375);
   EXPECT_EQ(to_string(tight_coarse.word), "OOGOGOOGOGOOGOGOGOOGOGOOGOGG");
+}
+
+/// The dichotomic search as it was before the bracket replay: the cold
+/// bisection over [0, cyclic_upper_bound] probing every midpoint. The
+/// replay must return its bits exactly.
+struct ColdResult {
+  double throughput;
+  std::optional<Word> word;
+};
+
+ColdResult cold_search(const Instance& instance, GreedyPolicy policy,
+                       int iters) {
+  if (instance.n() + instance.m() == 0) return {instance.b(0), Word{}};
+  const double hi0 = cyclic_upper_bound(instance);
+  const double tie_tol = greedy_tie_tolerance(instance, hi0);
+  Word best;
+  Word probe;
+  if (greedy_test_into(instance, hi0, best, policy, tie_tol)) {
+    return {hi0, std::move(best)};
+  }
+  double lo = 0.0;
+  double hi = hi0;
+  bool has_best = greedy_test_into(instance, lo, best, policy, tie_tol);
+  for (int k = 0; k < iters; ++k) {
+    const double mid = 0.5 * (lo + hi);
+    if (mid == lo || mid == hi) break;
+    if (greedy_test_into(instance, mid, probe, policy, tie_tol)) {
+      lo = mid;
+      std::swap(best, probe);
+      has_best = true;
+    } else {
+      hi = mid;
+    }
+  }
+  if (!has_best) return {lo, std::nullopt};
+  return {lo, std::move(best)};
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// A churn-like platform: 150 peers, about half of them guarded, with
+/// bandwidths from the uniform and log-normal classes.
+Instance churn_platform(util::Xoshiro256& rng) {
+  std::vector<double> open;
+  std::vector<double> guarded;
+  for (int k = 0; k < 150; ++k) {
+    const bool uniform_class = k < 90;
+    const double b = gen::sample(
+        uniform_class ? gen::Dist::kUnif100 : gen::Dist::kLogNormal1, rng);
+    (rng.uniform(0.0, 1.0) < (uniform_class ? 0.6 : 0.4) ? open : guarded)
+        .push_back(b);
+  }
+  return Instance(rng.uniform(3000.0, 5000.0), std::move(open),
+                  std::move(guarded));
+}
+
+/// The platforms one churn event or renegotiation away: one node joins,
+/// one leaves, and the broker rescales every bandwidth.
+std::vector<Instance> churn_neighbours(const Instance& inst,
+                                       util::Xoshiro256& rng) {
+  std::vector<double> open;
+  std::vector<double> guarded;
+  for (int i = 1; i < inst.size(); ++i) {
+    (inst.is_guarded(i) ? guarded : open).push_back(inst.b(i));
+  }
+  std::vector<Instance> out;
+  {
+    std::vector<double> o = open;
+    std::vector<double> g = guarded;
+    const double b = gen::sample(gen::Dist::kUnif100, rng);
+    (rng.below(2) == 0 ? o : g).push_back(b);
+    out.emplace_back(inst.b(0), std::move(o), std::move(g));
+  }
+  {
+    std::vector<double> o = open;
+    std::vector<double> g = guarded;
+    std::vector<double>& from = (rng.below(2) == 0 && !o.empty()) ? o : g;
+    const auto k = static_cast<std::ptrdiff_t>(rng.below(from.size()));
+    from.erase(from.begin() + k);
+    out.emplace_back(inst.b(0), std::move(o), std::move(g));
+  }
+  for (const double fraction : {0.3, 0.05}) {
+    std::vector<double> o = open;
+    std::vector<double> g = guarded;
+    for (double& b : o) b *= fraction;
+    for (double& b : g) b *= fraction;
+    out.emplace_back(inst.b(0) * fraction, std::move(o), std::move(g));
+  }
+  return out;
+}
+
+/// True iff some ablated policy's GreedyTest passes above a T it fails,
+/// on a grid of 64 rates up to the bound.
+bool ablation_is_non_monotone(const Instance& inst) {
+  const double hi = cyclic_upper_bound(inst);
+  for (const auto policy : {GreedyPolicy::kNoLookahead,
+                            GreedyPolicy::kNoLastGuardedRule,
+                            GreedyPolicy::kBandwidthGreedy}) {
+    bool failed = false;
+    for (int t = 1; t <= 64; ++t) {
+      const bool ok = greedy_test(inst, hi * t / 64.0, policy).has_value();
+      if (ok && failed) return true;
+      failed = failed || !ok;
+    }
+  }
+  return false;
+}
+
+/// Checks every iteration cap and policy on `inst` against the cold
+/// bisection. Returns the probes solve_acyclic made at the default cap
+/// when the search bisected (0 when the bound itself passed).
+int expect_replay_is_cold(const Instance& inst, const char* what, int index) {
+  int probes = 0;
+  for (const int iters : {0, 1, 8, 20, 100}) {
+    const ColdResult cold = cold_search(inst, GreedyPolicy::kPaper, iters);
+    if (cold.word.has_value()) {
+      const AcyclicSolution sol = solve_acyclic(inst, iters);
+      EXPECT_TRUE(same_bits(sol.throughput, cold.throughput))
+          << what << " #" << index << " iters=" << iters << ": "
+          << sol.throughput << " vs cold " << cold.throughput;
+      EXPECT_EQ(to_string(sol.word), to_string(*cold.word))
+          << what << " #" << index << " iters=" << iters;
+      if (iters == 100 && sol.throughput < cyclic_upper_bound(inst)) {
+        probes = sol.probes;
+      }
+    } else {
+      EXPECT_THROW(solve_acyclic(inst, iters), std::logic_error);
+    }
+    for (const auto policy :
+         {GreedyPolicy::kPaper, GreedyPolicy::kNoLookahead,
+          GreedyPolicy::kNoLastGuardedRule, GreedyPolicy::kBandwidthGreedy}) {
+      const double replayed = optimal_acyclic_throughput(inst, policy, iters);
+      const double expected = cold_search(inst, policy, iters).throughput;
+      EXPECT_TRUE(same_bits(replayed, expected))
+          << what << " #" << index << " iters=" << iters << " policy "
+          << static_cast<int>(policy) << ": " << replayed << " vs cold "
+          << expected;
+    }
+  }
+  return probes;
+}
+
+// The search answers the cold bisection's midpoints from a bracket of
+// probed GreedyTest results (plus, under the paper's policy only, a
+// gallop over the all-pass prefix and one speculative pair at the
+// witness word's closed form). By Lemma 4.5's monotonicity that must
+// reproduce the cold search bit for bit — throughput and witness word —
+// at every iteration cap, while probing far less.
+TEST(AcyclicSearch, ReplayIsTheColdBisection) {
+  const std::vector<Instance> small = early_stop_instances();
+  for (std::size_t k = 0; k < small.size(); ++k) {
+    expect_replay_is_cold(small[k], "early-stop", static_cast<int>(k));
+  }
+  int index = 0;
+  for (int n = 2; n <= 14; n += 3) {
+    for (int m = 1; m <= 13; m += 3) {
+      for (int d = 0; d <= 4; ++d) {
+        expect_replay_is_cold(theory::tight_homogeneous(n, m, n * d / 4.0),
+                              "tight", index++);
+      }
+    }
+  }
+  expect_replay_is_cold(theory::tight_homogeneous(16, 12, 14), "tight", index);
+  // Small platforms on which an ablated policy is not monotone in T: extra
+  // probes would break its replay there, so it must get none.
+  util::Xoshiro256 small_rng(7);
+  int non_monotone = 0;
+  for (int rep = 0; rep < 4000; ++rep) {
+    const int n = 1 + static_cast<int>(small_rng.below(8));
+    const int m = static_cast<int>(small_rng.below(8));
+    const Instance inst = testing::random_instance(small_rng, n, m);
+    if (ablation_is_non_monotone(inst)) {
+      expect_replay_is_cold(inst, "non-monotone", rep);
+      ++non_monotone;
+    }
+  }
+  EXPECT_GE(non_monotone, 10);
+
+  util::Xoshiro256 rng(2026);
+  long total_probes = 0;
+  int bisected = 0;
+  int solves = 0;
+  const auto check = [&](const Instance& inst, const char* what, int rep) {
+    const int probes = expect_replay_is_cold(inst, what, rep);
+    total_probes += probes;
+    bisected += probes > 0 ? 1 : 0;
+    ++solves;
+  };
+  for (int rep = 0; rep < 200; ++rep) {
+    const Instance platform = churn_platform(rng);
+    check(platform, "platform", rep);
+    for (const Instance& next : churn_neighbours(platform, rng)) {
+      check(next, "neighbour", rep);
+    }
+  }
+  // Like churn's platforms, nearly all must bisect (T*_ac below the bound),
+  // where the cold search makes ~56 probes per solve.
+  EXPECT_GE(bisected, solves * 9 / 10);
+  const double mean = static_cast<double>(total_probes) / bisected;
+  EXPECT_LE(mean, 20.0) << "mean GreedyTest probes per bisecting solve";
+  std::printf("mean GreedyTest probes per bisecting solve: %.2f over %d\n",
+              mean, bisected);
 }
 
 }  // namespace

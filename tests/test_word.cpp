@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "bmp/core/word.hpp"
 #include "bmp/core/word_throughput.hpp"
@@ -126,6 +127,52 @@ TEST(WordThroughput, BisectionMatchesClosedForm) {
     const double bisect = word_throughput(inst, w);
     EXPECT_NEAR(closed, bisect, 1e-7 * std::max(1.0, closed)) << to_string(w);
   }
+}
+
+/// word_throughput's bisection without its fixed-point stop: every one of
+/// `iters` halvings probes check_word.
+double full_bisection(const Instance& inst, const Word& w, int iters) {
+  double hi = cyclic_upper_bound(inst);
+  if (check_word(inst, w, hi)) return hi;
+  double lo = 0.0;
+  for (int k = 0; k < iters; ++k) {
+    const double mid = 0.5 * (lo + hi);
+    (check_word(inst, w, mid) ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+// The bisection stops once lo and hi are adjacent doubles (~54 halvings):
+// from there every probe repeats an earlier one, so the default cap of 100
+// returns exactly what 2000 do, and what 100 unconditional halvings did.
+TEST(WordThroughput, EarlyStopIsTheFullBisection) {
+  util::Xoshiro256 rng(7);
+  int bisected = 0;
+  for (int rep = 0; rep < 120; ++rep) {
+    const int n = 1 + static_cast<int>(rng.below(5));
+    const int m = static_cast<int>(rng.below(5));
+    const Instance inst = testing::random_instance(rng, n, m);
+    const auto words = enumerate_words(n, m);
+    const Word& w = words[rng.below(words.size())];
+    const double capped = word_throughput(inst, w, 100);
+    const double full = word_throughput(inst, w, 2000);
+    const double unstopped = full_bisection(inst, w, 100);
+    EXPECT_EQ(std::memcmp(&capped, &full, sizeof(double)), 0)
+        << to_string(w) << ": " << capped << " vs " << full;
+    EXPECT_EQ(std::memcmp(&capped, &unstopped, sizeof(double)), 0)
+        << to_string(w) << ": " << capped << " vs " << unstopped;
+    if (capped < cyclic_upper_bound(inst)) ++bisected;
+  }
+  EXPECT_GE(bisected, 60);
+  const Instance fig1 = testing::fig1_instance();
+  for (const char* text : {"GOGOG", "GOOGG", "OOGGG"}) {
+    const double capped = word_throughput(fig1, make_word(text), 100);
+    const double full = word_throughput(fig1, make_word(text), 2000);
+    EXPECT_EQ(std::memcmp(&capped, &full, sizeof(double)), 0) << text;
+  }
+  // A cap below the fixed point still bounds the search.
+  EXPECT_EQ(word_throughput(fig1, make_word("GOGOG"), 8),
+            full_bisection(fig1, make_word("GOGOG"), 8));
 }
 
 TEST(WordThroughput, EmptyWordReturnsSourceBandwidth) {
